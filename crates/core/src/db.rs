@@ -11,9 +11,8 @@ use mmdb_exec::plan::{
 };
 use mmdb_exec::run_tasks;
 use mmdb_exec::{
-    choose_select_path, parallel_select_scan, select_hash_index, select_tree_index, CacheReport,
-    CachedMode, CachedReadOp, DeltaApplyOp, DeltaEvent, ExecConfig, IndexAvailability, JoinMethod,
-    JoinOutput, JoinPlanner, MemoizeOp, Predicate, RefilterOp, ReuseCache, SelectPath, StoreTicket,
+    CacheReport, CachedMode, CachedReadOp, DeltaApplyOp, DeltaEvent, ExecConfig, IndexAvailability,
+    JoinMethod, MemoizeOp, Predicate, RefilterOp, ReuseCache, SelectPath, StoreTicket,
     VersionSource,
 };
 use mmdb_index::sort::run_sort;
@@ -24,7 +23,7 @@ use mmdb_lock::{LockManager, LockMode, LockTarget, TxnId};
 use mmdb_recovery::{MemDisk, PartitionKey, RecoveryManager, RestartPhase, StableStore};
 use mmdb_storage::{
     value_hash, value_order_tag, AttrType, OwnedValue, Partition, PartitionConfig, Relation,
-    ResultDescriptor, Schema, TempList, TupleId,
+    ResultDescriptor, Schema, TupleId,
 };
 use parking_lot::{Mutex, RwLock};
 use std::collections::{HashMap, HashSet};
@@ -785,6 +784,12 @@ impl<S: StableStore> Database<S> {
         self.recovery.commit(txn_id.0);
     }
 
+    /// Drop `txn_id`'s log entries, leaving its locks to the caller (an
+    /// engine [`Txn`](crate::Txn) releases its own).
+    pub(crate) fn mark_aborted(&mut self, txn_id: TxnId) {
+        self.recovery.abort(txn_id.0);
+    }
+
     /// Resolve a table name to its id (sessions key lock targets by id).
     pub(crate) fn resolve_table(&self, name: &str) -> Result<TableId, DbError> {
         self.table_id(name)
@@ -824,7 +829,7 @@ impl<S: StableStore> Database<S> {
     // ---- queries ---------------------------------------------------------
 
     /// Availability of indexes on `(table, attr)`.
-    fn availability(&self, table: TableId, attr: usize, fk: bool) -> IndexAvailability {
+    fn availability(&self, table: TableId, attr: usize) -> IndexAvailability {
         IndexAvailability {
             ttree: self
                 .indexes
@@ -834,7 +839,6 @@ impl<S: StableStore> Database<S> {
                 .indexes
                 .iter()
                 .any(|i| i.table == table && i.attr == attr && i.kind == IndexKind::Hash),
-            fk_pointer: fk,
         }
     }
 
@@ -849,268 +853,6 @@ impl<S: StableStore> Database<S> {
         self.indexes.iter().find_map(|i| match &i.index {
             AnyIndex::Hash(h) if i.table == table && i.attr == attr => Some(h),
             _ => None,
-        })
-    }
-
-    /// The access path [`select`](Database::select) would use.
-    pub fn plan_select(
-        &self,
-        table: &str,
-        attr: &str,
-        pred: &Predicate,
-    ) -> Result<SelectPath, DbError> {
-        let t = self.table_id(table)?;
-        let attr_idx = self.table(t).rel.read().schema().index_of(attr)?;
-        let avail = self.availability(t, attr_idx, false);
-        Ok(choose_select_path(avail, matches!(pred, Predicate::Eq(_))))
-    }
-
-    /// Selection with the §4 preference ordering: hash lookup, then tree
-    /// lookup, then sequential scan.
-    pub fn select(&self, table: &str, attr: &str, pred: &Predicate) -> Result<TempList, DbError> {
-        self.select_with_config(table, attr, pred, self.exec)
-    }
-
-    /// [`select`](Database::select) with an explicit execution config
-    /// (overriding the database-level degree of parallelism).
-    pub fn select_with_config(
-        &self,
-        table: &str,
-        attr: &str,
-        pred: &Predicate,
-        cfg: ExecConfig,
-    ) -> Result<TempList, DbError> {
-        let t = self.table_id(table)?;
-        let attr_idx = self.table(t).rel.read().schema().index_of(attr)?;
-        match self.plan_select(table, attr, pred)? {
-            SelectPath::HashLookup => {
-                let idx = self
-                    .find_hash(t, attr_idx)
-                    .ok_or_else(|| DbError::Catalog("planned hash index disappeared".into()))?;
-                let Predicate::Eq(key) = pred else {
-                    unreachable!()
-                };
-                Ok(select_hash_index(idx, key))
-            }
-            SelectPath::TreeLookup => {
-                let idx = self
-                    .find_ttree(t, attr_idx)
-                    .ok_or_else(|| DbError::Catalog("planned tree index disappeared".into()))?;
-                Ok(select_tree_index(idx, pred))
-            }
-            SelectPath::SequentialScan => {
-                let rel = self.table(t).rel.read();
-                Ok(parallel_select_scan(&rel, attr_idx, pred, cfg)?)
-            }
-        }
-    }
-
-    /// The join method [`join`](Database::join) would pick.
-    pub fn plan_join(
-        &self,
-        outer_table: &str,
-        outer_attr: &str,
-        inner_table: &str,
-        inner_attr: &str,
-    ) -> Result<JoinMethod, DbError> {
-        Ok(self
-            .planner(outer_table, outer_attr, inner_table, inner_attr)?
-            .choose())
-    }
-
-    fn planner(
-        &self,
-        outer_table: &str,
-        outer_attr: &str,
-        inner_table: &str,
-        inner_attr: &str,
-    ) -> Result<JoinPlanner, DbError> {
-        let ot = self.table_id(outer_table)?;
-        let it = self.table_id(inner_table)?;
-        let (o_attr, o_fk) = {
-            let r = self.table(ot).rel.read();
-            let a = r.schema().index_of(outer_attr)?;
-            let ty = r.schema().attr(a)?.ty;
-            (a, ty == AttrType::Ptr || ty == AttrType::PtrList)
-        };
-        let i_attr = self.table(it).rel.read().schema().index_of(inner_attr)?;
-        Ok(JoinPlanner {
-            outer_card: self.table(ot).rel.read().len(),
-            inner_card: self.table(it).rel.read().len(),
-            outer: self.availability(ot, o_attr, o_fk),
-            inner: self.availability(it, i_attr, false),
-            duplicate_pct: 0.0,
-            semijoin_pct: 100.0,
-            skewed: false,
-            outer_full: true,
-            inner_full: true,
-        })
-    }
-
-    /// Equijoin with the §4 method preference. Returns the result pairs
-    /// and the method used.
-    pub fn join(
-        &self,
-        outer_table: &str,
-        outer_attr: &str,
-        inner_table: &str,
-        inner_attr: &str,
-    ) -> Result<(JoinOutput, JoinMethod), DbError> {
-        let method = self.plan_join(outer_table, outer_attr, inner_table, inner_attr)?;
-        let out = self.join_with(method, outer_table, outer_attr, inner_table, inner_attr)?;
-        Ok((out, method))
-    }
-
-    /// Equijoin where the outer input is an explicit tuple list (e.g. a
-    /// prior selection's temp list). `outer_full` declares whether the
-    /// list covers the whole relation — a filtered list disables
-    /// index-merge plans (the indices would scan excluded tuples).
-    pub fn join_tids(
-        &self,
-        outer_table: &str,
-        outer_attr: &str,
-        outer_tids: &[TupleId],
-        outer_full: bool,
-        inner_table: &str,
-        inner_attr: &str,
-    ) -> Result<(JoinOutput, JoinMethod), DbError> {
-        self.join_tids_with_config(
-            outer_table,
-            outer_attr,
-            outer_tids,
-            outer_full,
-            inner_table,
-            inner_attr,
-            self.exec,
-        )
-    }
-
-    /// [`join_tids`](Database::join_tids) with an explicit execution
-    /// config (overriding the database-level degree of parallelism).
-    #[allow(clippy::too_many_arguments)]
-    pub fn join_tids_with_config(
-        &self,
-        outer_table: &str,
-        outer_attr: &str,
-        outer_tids: &[TupleId],
-        outer_full: bool,
-        inner_table: &str,
-        inner_attr: &str,
-        cfg: ExecConfig,
-    ) -> Result<(JoinOutput, JoinMethod), DbError> {
-        let mut planner = self.planner(outer_table, outer_attr, inner_table, inner_attr)?;
-        planner.outer_card = outer_tids.len();
-        planner.outer_full = outer_full;
-        let method = planner.choose();
-        let ot = self.table_id(outer_table)?;
-        let it = self.table_id(inner_table)?;
-        let orel = self.table(ot).rel.read();
-        let irel = self.table(it).rel.read();
-        let o_attr = orel.schema().index_of(outer_attr)?;
-        let i_attr = irel.schema().index_of(inner_attr)?;
-        let kernel = self.make_join_kernel(
-            method,
-            &orel,
-            o_attr,
-            ot,
-            &irel,
-            i_attr,
-            it,
-            outer_table,
-            inner_table,
-        )?;
-        let out = kernel.run(outer_tids, None, cfg)?;
-        Ok((out, method))
-    }
-
-    /// Execute an equijoin with an explicit method (benchmarks, tests).
-    pub fn join_with(
-        &self,
-        method: JoinMethod,
-        outer_table: &str,
-        outer_attr: &str,
-        inner_table: &str,
-        inner_attr: &str,
-    ) -> Result<JoinOutput, DbError> {
-        let cfg = self.exec;
-        let ot = self.table_id(outer_table)?;
-        let it = self.table_id(inner_table)?;
-        let orel = self.table(ot).rel.read();
-        let irel = self.table(it).rel.read();
-        let o_attr = orel.schema().index_of(outer_attr)?;
-        let i_attr = irel.schema().index_of(inner_attr)?;
-        let otids = orel.tids();
-        let kernel = self.make_join_kernel(
-            method,
-            &orel,
-            o_attr,
-            ot,
-            &irel,
-            i_attr,
-            it,
-            outer_table,
-            inner_table,
-        )?;
-        let out = kernel.run(&otids, None, cfg)?;
-        Ok(out)
-    }
-
-    /// Bind one §3.3 join method to concrete relations and indices as a
-    /// uniform [`JoinKernel`] — the single dispatch point shared by the
-    /// legacy join entry points and the planned operator engine.
-    #[allow(clippy::too_many_arguments)]
-    fn make_join_kernel<'b>(
-        &'b self,
-        method: JoinMethod,
-        orel: &'b Relation,
-        o_attr: usize,
-        ot: TableId,
-        irel: &'b Relation,
-        i_attr: usize,
-        it: TableId,
-        outer_name: &str,
-        inner_name: &str,
-    ) -> Result<Box<dyn JoinKernel + 'b>, DbError> {
-        Ok(match method {
-            JoinMethod::Precomputed => Box::new(PrecomputedKernel {
-                outer_rel: orel,
-                outer_attr: o_attr,
-            }),
-            JoinMethod::TreeMerge => {
-                let oidx = self
-                    .find_ttree(ot, o_attr)
-                    .ok_or_else(|| DbError::NoSuchIndex(format!("{outer_name}.{o_attr}")))?;
-                let iidx = self
-                    .find_ttree(it, i_attr)
-                    .ok_or_else(|| DbError::NoSuchIndex(format!("{inner_name}.{i_attr}")))?;
-                Box::new(TreeMergeKernel {
-                    outer_rel: orel,
-                    outer_attr: o_attr,
-                    outer_index: oidx,
-                    inner_rel: irel,
-                    inner_attr: i_attr,
-                    inner_index: iidx,
-                })
-            }
-            JoinMethod::TreeJoin => {
-                let iidx = self
-                    .find_ttree(it, i_attr)
-                    .ok_or_else(|| DbError::NoSuchIndex(format!("{inner_name}.{i_attr}")))?;
-                Box::new(TreeJoinKernel {
-                    outer_rel: orel,
-                    outer_attr: o_attr,
-                    inner_index: iidx,
-                })
-            }
-            JoinMethod::HashJoin | JoinMethod::SortMerge | JoinMethod::NestedLoops => {
-                Box::new(SidesKernel {
-                    outer_rel: orel,
-                    outer_attr: o_attr,
-                    inner_rel: irel,
-                    inner_attr: i_attr,
-                    method,
-                })
-            }
         })
     }
 
@@ -1223,17 +965,43 @@ impl<S: StableStore> Database<S> {
                 let it = self.table_id(inner_table)?;
                 let o_attr = orel.schema().index_of(outer_attr)?;
                 let i_attr = irel.schema().index_of(inner_attr)?;
-                let kernel = self.make_join_kernel(
-                    *method,
-                    orel,
-                    o_attr,
-                    ot,
-                    irel,
-                    i_attr,
-                    it,
-                    source_table,
-                    inner_table,
-                )?;
+                let outer_tree = || {
+                    self.find_ttree(ot, o_attr)
+                        .ok_or_else(|| DbError::NoSuchIndex(format!("{source_table}.{outer_attr}")))
+                };
+                let inner_tree = || {
+                    self.find_ttree(it, i_attr)
+                        .ok_or_else(|| DbError::NoSuchIndex(format!("{inner_table}.{inner_attr}")))
+                };
+                // One uniform kernel per §3.3 method.
+                let kernel: Box<dyn JoinKernel + 'b> = match *method {
+                    JoinMethod::Precomputed => Box::new(PrecomputedKernel {
+                        outer_rel: orel,
+                        outer_attr: o_attr,
+                    }),
+                    JoinMethod::TreeMerge => Box::new(TreeMergeKernel {
+                        outer_rel: orel,
+                        outer_attr: o_attr,
+                        outer_index: outer_tree()?,
+                        inner_rel: irel,
+                        inner_attr: i_attr,
+                        inner_index: inner_tree()?,
+                    }),
+                    JoinMethod::TreeJoin => Box::new(TreeJoinKernel {
+                        outer_rel: orel,
+                        outer_attr: o_attr,
+                        inner_index: inner_tree()?,
+                    }),
+                    JoinMethod::HashJoin | JoinMethod::SortMerge | JoinMethod::NestedLoops => {
+                        Box::new(SidesKernel {
+                            outer_rel: orel,
+                            outer_attr: o_attr,
+                            inner_rel: irel,
+                            inner_attr: i_attr,
+                            method: *method,
+                        })
+                    }
+                };
                 Box::new(JoinOp {
                     id: node.id,
                     child,
@@ -1603,11 +1371,10 @@ impl<S: StableStore> PlanCatalog for Database<S> {
         let rel = self.table(t).rel.read();
         let idx = rel.schema().index_of(attr).ok()?;
         let ty = rel.schema().attr(idx).ok()?.ty;
-        let fk = ty == AttrType::Ptr || ty == AttrType::PtrList;
         Some(AttrInfo {
             index: idx,
-            pointer: fk,
-            avail: self.availability(t, idx, fk),
+            pointer: ty == AttrType::Ptr || ty == AttrType::PtrList,
+            avail: self.availability(t, idx),
         })
     }
 }
@@ -1730,7 +1497,7 @@ impl<S: StableStore> Database<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mmdb_storage::{KeyValue, Value};
+    use mmdb_storage::KeyValue;
 
     fn emp_schema() -> Schema {
         Schema::of(&[("name", AttrType::Str), ("age", AttrType::Int)])
@@ -1771,11 +1538,12 @@ mod tests {
             .unwrap();
         assert_eq!(old.len(), 1);
         // Hash exact match.
-        assert_eq!(
-            db.plan_select("emp", "name", &Predicate::Eq(KeyValue::from("Jane")))
-                .unwrap(),
-            SelectPath::HashLookup
-        );
+        let plan = db
+            .query("emp")
+            .filter("name", Predicate::Eq(KeyValue::from("Jane")))
+            .explain()
+            .unwrap();
+        assert!(plan.contains("via HashLookup"), "{plan}");
         let jane = db
             .select("emp", "name", &Predicate::Eq(KeyValue::from("Jane")))
             .unwrap();
@@ -1909,13 +1677,10 @@ mod tests {
         }
         db.commit(txn).unwrap();
         // Both T-Trees exist → Tree Merge.
-        assert_eq!(
-            db.plan_join("emp2", "did", "dept", "did").unwrap(),
-            JoinMethod::TreeMerge
-        );
-        let (out, method) = db.join("emp2", "did", "dept", "did").unwrap();
-        assert_eq!(method, JoinMethod::TreeMerge);
-        assert_eq!(out.len(), 3, "Dave, Cindy, Suzan match; Jane does not");
+        let join = || db.query("emp2").join("did", "dept", "did");
+        let out = join().run().unwrap();
+        assert_eq!(out.profile.joins()[0].method, Some(JoinMethod::TreeMerge));
+        assert_eq!(out.rows.len(), 3, "Dave, Cindy, Suzan match; Jane does not");
         // Every method agrees.
         for m in [
             JoinMethod::HashJoin,
@@ -1923,8 +1688,8 @@ mod tests {
             JoinMethod::TreeJoin,
             JoinMethod::NestedLoops,
         ] {
-            let alt = db.join_with(m, "emp2", "did", "dept", "did").unwrap();
-            assert_eq!(alt.len(), 3, "{m:?}");
+            let alt = join().force_join_method(m).run().unwrap();
+            assert_eq!(alt.rows.len(), 3, "{m:?}");
         }
     }
 
@@ -1953,17 +1718,14 @@ mod tests {
         )
         .unwrap();
         db.commit(txn).unwrap();
-        assert_eq!(
-            db.plan_join("emp3", "dept", "dept", "dname").unwrap(),
-            JoinMethod::Precomputed
-        );
-        let (out, _) = db.join("emp3", "dept", "dept", "dname").unwrap();
-        assert_eq!(out.len(), 1);
-        let drow = out.pairs.row(0)[1];
-        db.with_relation("dept", |r| {
-            assert_eq!(r.field(drow, 0).unwrap(), Value::Str("Toy"));
-        })
-        .unwrap();
+        let out = db
+            .query("emp3")
+            .join("dept", "dept", "dname")
+            .project(&[("dept", "dname")])
+            .run()
+            .unwrap();
+        assert_eq!(out.profile.joins()[0].method, Some(JoinMethod::Precomputed));
+        assert_eq!(out.rows, vec![vec![OwnedValue::from("Toy")]]);
     }
 
     /// The whole-database deep check stays clean across tables, both

@@ -197,15 +197,43 @@ impl<S: StableStore> Clone for TxnEngine<S> {
     }
 }
 
-/// An open engine transaction: the buffered write set plus the doomed
-/// flag set when a deadlock abort already released its locks.
-#[derive(Debug)]
+/// An open engine transaction: the buffered write set plus ownership of
+/// its partition locks. Dropping a `Txn` without [`Session::commit`] or
+/// [`Session::abort`] aborts it: its writes are discarded (they were only
+/// buffered) and its locks are released.
 pub struct Txn {
     inner: Transaction,
-    doomed: bool,
+    /// The lock manager holding this transaction's locks; `None` once
+    /// they are released, which a live `Txn` only sees after a deadlock
+    /// abort doomed it.
+    locks: Option<Arc<LockManager>>,
+}
+
+impl std::fmt::Debug for Txn {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "Txn({:?}, doomed: {})", self.inner, self.is_doomed())
+    }
+}
+
+impl Drop for Txn {
+    fn drop(&mut self) {
+        self.release();
+    }
 }
 
 impl Txn {
+    /// Release every lock the transaction holds. Idempotent, so each
+    /// transaction reaches [`LockManager::release_all`] exactly once.
+    fn release(&mut self) {
+        if let Some(locks) = self.locks.take() {
+            locks.release_all(self.inner.id);
+        }
+    }
+
+    fn is_doomed(&self) -> bool {
+        self.locks.is_none()
+    }
+
     /// The lock-manager transaction id.
     #[must_use]
     pub fn id(&self) -> u64 {
@@ -293,28 +321,21 @@ impl<S: StableStore> Session<S> {
     pub fn begin(&self) -> Txn {
         Txn {
             inner: Transaction::new(self.inner.locks.begin()),
-            doomed: false,
+            locks: Some(Arc::clone(&self.inner.locks)),
         }
-    }
-
-    /// Abort a deadlock victim in place: release everything it holds and
-    /// refuse all further work on it.
-    fn doom(&self, txn: &mut Txn) {
-        self.inner.locks.release_all(txn.inner.id);
-        txn.doomed = true;
     }
 
     /// Acquire `target` for `txn`, blocking outside the engine latch; on
     /// deadlock the transaction is doomed (locks released) and
     /// [`TxnError::Deadlock`] returned.
     fn acquire(&self, txn: &mut Txn, target: LockTarget, mode: LockMode) -> Result<(), TxnError> {
-        if txn.doomed {
+        if txn.is_doomed() {
             return Err(TxnError::Deadlock);
         }
         match self.inner.locks.lock(txn.inner.id, target, mode) {
             Ok(()) => Ok(()),
             Err(e) => {
-                self.doom(txn);
+                txn.release();
                 Err(e.into())
             }
         }
@@ -396,7 +417,7 @@ impl<S: StableStore> Session<S> {
         table: &str,
         values: Vec<OwnedValue>,
     ) -> Result<(), TxnError> {
-        if txn.doomed {
+        if txn.is_doomed() {
             return Err(TxnError::Deadlock);
         }
         let db = self.inner.db.lock();
@@ -413,7 +434,7 @@ impl<S: StableStore> Session<S> {
         attr: &str,
         value: OwnedValue,
     ) -> Result<(), TxnError> {
-        if txn.doomed {
+        if txn.is_doomed() {
             return Err(TxnError::Deadlock);
         }
         let db = self.inner.db.lock();
@@ -423,7 +444,7 @@ impl<S: StableStore> Session<S> {
 
     /// Buffer a delete.
     pub fn delete(&self, txn: &mut Txn, table: &str, tid: TupleId) -> Result<(), TxnError> {
-        if txn.doomed {
+        if txn.is_doomed() {
             return Err(TxnError::Deadlock);
         }
         let db = self.inner.db.lock();
@@ -438,51 +459,34 @@ impl<S: StableStore> Session<S> {
     /// latch* in a loop: only when a latch-held recomputation shows every
     /// needed lock already granted do the writes apply — so a transaction
     /// that deadlocks during acquisition has touched nothing.
-    pub fn commit(&self, txn: Txn) -> Result<Vec<TupleId>, TxnError> {
-        if txn.doomed {
+    ///
+    /// On every failure path the transaction is dropped, which releases
+    /// its locks.
+    pub fn commit(&self, mut txn: Txn) -> Result<Vec<TupleId>, TxnError> {
+        if txn.is_doomed() {
             return Err(TxnError::Deadlock);
         }
-        let mut t = txn.inner;
-        if t.is_read_only() {
-            self.inner.locks.release_all(t.id);
+        if txn.is_read_only() {
+            txn.release();
             return Ok(Vec::new());
         }
+        let id = txn.inner.id;
 
         // Phase A: acquire + revalidate + apply.
-        let mut targets = {
-            let db = self.inner.db.lock();
-            match db.commit_lock_targets(&t) {
-                Ok(v) => v,
-                Err(e) => {
-                    drop(db);
-                    self.inner.locks.release_all(t.id);
-                    return Err(TxnError::Db(e));
-                }
-            }
-        };
+        let mut targets = self.inner.db.lock().commit_lock_targets(&txn.inner)?;
         let inserted = loop {
             for target in &targets {
-                if let Err(e) = self.inner.locks.lock(t.id, *target, LockMode::Exclusive) {
-                    self.inner.locks.release_all(t.id);
-                    return Err(e.into());
-                }
+                self.inner.locks.lock(id, *target, LockMode::Exclusive)?;
             }
             let mut db = self.inner.db.lock();
-            let now = match db.commit_lock_targets(&t) {
-                Ok(v) => v,
-                Err(e) => {
-                    drop(db);
-                    self.inner.locks.release_all(t.id);
-                    return Err(TxnError::Db(e));
-                }
-            };
-            let held: HashSet<LockTarget> = self.inner.locks.held(t.id).into_iter().collect();
+            let now = db.commit_lock_targets(&txn.inner)?;
+            let held: HashSet<LockTarget> = self.inner.locks.held(id).into_iter().collect();
             if now.iter().all(|x| held.contains(x)) {
-                let writes = std::mem::take(&mut t.writes);
-                match db.apply_and_log(t.id, writes) {
+                let writes = std::mem::take(&mut txn.inner.writes);
+                match db.apply_and_log(id, writes) {
                     Ok(ins) => break ins,
                     Err(e) => {
-                        db.abort(t);
+                        db.mark_aborted(id);
                         return Err(TxnError::Db(e));
                     }
                 }
@@ -492,7 +496,6 @@ impl<S: StableStore> Session<S> {
 
         // Phase B: group-commit the record, then release (strict 2PL —
         // locks outlive the commit record, never the other way round).
-        let id = t.id;
         self.inner.group.commit_with(id, |batch| {
             let mut db = self.inner.db.lock();
             for member in batch {
@@ -504,15 +507,14 @@ impl<S: StableStore> Session<S> {
             // durability point (§2.4 stable memory).
             let _ = db.run_log_device();
         });
-        self.inner.locks.release_all(id);
+        txn.release();
         Ok(inserted)
     }
 
     /// Abort: discard buffered writes, release all locks. No undo is ever
-    /// needed (deferred writes).
+    /// needed (deferred writes). Dropping the [`Txn`] does the same.
     pub fn abort(&self, txn: Txn) {
-        let mut db = self.inner.db.lock();
-        db.abort(txn.inner);
+        self.inner.db.lock().mark_aborted(txn.inner.id);
     }
 
     /// Run `body` in a fresh transaction, committing on success and
@@ -631,6 +633,39 @@ mod tests {
         assert_eq!(stats.commits, 3);
         assert_eq!(stats.batches, 2);
         assert_eq!(stats.largest_batch, 2);
+    }
+
+    #[test]
+    fn dropped_txn_releases_its_locks() {
+        let engine = engine_with_table();
+        let reader = engine.session();
+        let mut txn = reader.begin();
+        reader
+            .select(
+                &mut txn,
+                "t",
+                "k",
+                &Predicate::Eq(mmdb_storage::KeyValue::Int(1)),
+            )
+            .unwrap();
+        drop(txn);
+
+        // The writer needs X locks that conflict with the dropped
+        // reader's S locks; it would block forever if they leaked.
+        let writer = engine.session();
+        let (done_tx, done_rx) = mpsc::channel();
+        let writer_thread = thread::spawn(move || {
+            let mut txn = writer.begin();
+            writer
+                .insert(&mut txn, "t", vec![OwnedValue::Int(2), OwnedValue::Int(20)])
+                .unwrap();
+            done_tx.send(writer.commit(txn).map(|ins| ins.len())).ok();
+        });
+        let committed = done_rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("writer blocked behind a dropped transaction's locks");
+        writer_thread.join().unwrap();
+        assert_eq!(committed.unwrap(), 1);
     }
 
     #[test]

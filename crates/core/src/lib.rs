@@ -41,7 +41,6 @@ pub mod db;
 pub mod engine;
 pub mod error;
 pub mod query;
-pub mod server;
 pub mod shared;
 pub mod txn;
 
@@ -53,6 +52,5 @@ pub use db::{
 pub use engine::{GroupCommitStats, Session, Txn, TxnEngine, TxnError};
 pub use error::DbError;
 pub use query::{QueryBuilder, QueryOutput};
-pub use server::{DbClient, DbServer};
 pub use shared::SharedAdapter;
 pub use txn::Transaction;

@@ -33,10 +33,11 @@
 
 use crate::db::Database;
 use crate::error::DbError;
-use mmdb_exec::plan::{LogicalPlan, PlanProfile, Planner, PlannerOptions};
-use mmdb_exec::{ExecContext, JoinMethod, Predicate};
+use mmdb_exec::plan::{LogicalPlan, NodeId, PlanProfile, PlannedQuery, Planner, PlannerOptions};
+use mmdb_exec::{ExecConfig, ExecContext, JoinMethod, Predicate, StoreTicket};
 use mmdb_recovery::StableStore;
-use mmdb_storage::{OutputField, OwnedValue, ResultDescriptor};
+use mmdb_storage::{OutputField, OwnedValue, Relation, ResultDescriptor, TempList};
+use std::collections::HashMap;
 
 /// One written pipeline step (order matters for naive placement).
 enum Step {
@@ -80,6 +81,16 @@ pub struct QueryOutput {
     pub profile: PlanProfile,
 }
 
+/// A query after plan → bind → execute: the result temp list plus what
+/// materialising it needs. The relations stay read-locked while it lives.
+struct Executed<'r> {
+    planned: PlannedQuery,
+    list: TempList,
+    desc: ResultDescriptor,
+    rels: &'r [&'r Relation],
+    ctx: ExecContext,
+}
+
 impl<S: StableStore> Database<S> {
     /// Start a fluent query rooted at `table`.
     pub fn query(&self, table: &str) -> QueryBuilder<'_, S> {
@@ -95,6 +106,107 @@ impl<S: StableStore> Database<S> {
             forced_join: None,
             cache: None,
         }
+    }
+
+    /// Selection with the §4 preference ordering: hash lookup, then tree
+    /// lookup, then sequential scan. This is the planner's single-table
+    /// path — `query(table).filter(attr, pred)` without the
+    /// materialisation — so it returns the same tuples in the same order.
+    pub fn select(&self, table: &str, attr: &str, pred: &Predicate) -> Result<TempList, DbError> {
+        let logical = LogicalPlan::Filter {
+            input: Box::new(LogicalPlan::Scan {
+                table: table.to_string(),
+            }),
+            table: table.to_string(),
+            attr: attr.to_string(),
+            pred: pred.clone(),
+        };
+        let cfg = self.exec_config();
+        self.execute(
+            &logical,
+            &PlannerOptions::default(),
+            cfg,
+            cfg.cache,
+            |done| Ok(done.list),
+        )
+    }
+
+    /// Plan `logical`. With `use_cache`, fresh cached results substitute
+    /// for plan subtrees, and the returned tickets mark the cacheable
+    /// subtrees a run should retain.
+    fn plan(
+        &self,
+        logical: &LogicalPlan,
+        options: &PlannerOptions,
+        use_cache: bool,
+    ) -> Result<(PlannedQuery, HashMap<NodeId, StoreTicket>), DbError> {
+        let mut planned =
+            Planner::plan(logical, self, options).map_err(|e| DbError::BadQuery(e.to_string()))?;
+        let tickets = if use_cache {
+            mmdb_exec::apply_cache(&mut planned, &mut self.reuse_cache().lock(), self)
+        } else {
+            HashMap::new()
+        };
+        Ok((planned, tickets))
+    }
+
+    /// Plan `logical`, bind the plan to this database's relations and
+    /// indices, execute it, and hand the result to `finish` while the
+    /// relations are still read-locked.
+    fn execute<R>(
+        &self,
+        logical: &LogicalPlan,
+        options: &PlannerOptions,
+        cfg: ExecConfig,
+        use_cache: bool,
+        finish: impl FnOnce(Executed<'_>) -> Result<R, DbError>,
+    ) -> Result<R, DbError> {
+        // Cache substitution is sound because `&self` is held until
+        // execution finishes: no write can move the stamped versions in
+        // between.
+        let (planned, tickets) = self.plan(logical, options, use_cache)?;
+
+        #[cfg(feature = "check")]
+        {
+            // Checked *after* substitution: the invariants must hold for
+            // the plan we actually execute, absorbed work included.
+            let report = mmdb_check::plan_checks::check_plans(logical, &planned, self);
+            if let Err(msg) = report.into_result() {
+                return Err(DbError::BadQuery(format!("plan invariants: {msg}")));
+            }
+        }
+
+        // Projection descriptor over the plan's binding order.
+        let mut fields = Vec::with_capacity(planned.columns.len());
+        for (t, a) in &planned.columns {
+            let source =
+                planned.tables.iter().position(|s| s == t).ok_or_else(|| {
+                    DbError::BadQuery(format!("projected table {t} is not bound"))
+                })?;
+            let attr = self.with_relation(t, |r| r.schema().index_of(a))??;
+            fields.push(OutputField::new(source, attr, &format!("{t}.{a}")));
+        }
+        let desc = ResultDescriptor::new(fields);
+
+        // Bind the operator tree to borrowed relations and execute.
+        let handles: Vec<_> = planned
+            .tables
+            .iter()
+            .map(|t| self.relation_handle(t))
+            .collect::<Result<_, _>>()?;
+        let guards: Vec<_> = handles.iter().map(|h| h.read()).collect();
+        let rels: Vec<&Relation> = guards.iter().map(|r| &**r).collect();
+        let mut root = self.bind_plan(&planned.root, &planned.tables, &rels, &desc, &tickets)?;
+        let mut ctx = ExecContext::new(cfg, planned.node_count);
+        let list = root.execute(&mut ctx)?;
+        drop(root);
+        finish(Executed {
+            planned,
+            list,
+            desc,
+            rels: &rels,
+            ctx,
+        })
     }
 }
 
@@ -273,13 +385,8 @@ impl<S: StableStore> QueryBuilder<'_, S> {
     /// rendering (estimates only; actuals show `-`). With caching on,
     /// fresh cached subtrees substitute in and render as `[cached]`.
     pub fn explain(&self) -> Result<String, DbError> {
-        let logical = self.logical()?;
-        let mut planned = Planner::plan(&logical, self.db, &self.options())
-            .map_err(|e| DbError::BadQuery(e.to_string()))?;
-        if self.cache.unwrap_or(self.db.exec_config().cache) {
-            let mut cache = self.db.reuse_cache().lock();
-            let _ = mmdb_exec::apply_cache(&mut planned, &mut cache, self.db);
-        }
+        let use_cache = self.cache.unwrap_or(self.db.exec_config().cache);
+        let (planned, _) = self.db.plan(&self.logical()?, &self.options(), use_cache)?;
         Ok(PlanProfile::estimates(&planned).render())
     }
 
@@ -291,78 +398,30 @@ impl<S: StableStore> QueryBuilder<'_, S> {
             None => db.exec_config(),
         };
         let use_cache = self.cache.unwrap_or(cfg.cache);
-
-        // Phase 1: logical plan; Phase 2: cost-based physical plan.
         let logical = self.logical()?;
-        let mut planned = Planner::plan(&logical, db, &self.options())
-            .map_err(|e| DbError::BadQuery(e.to_string()))?;
-
-        // Substitute fresh cached results for plan subtrees, and ticket
-        // the cacheable subtrees this run should retain. Sound because
-        // the builder holds `&Database` until execution finishes: no
-        // write can move the stamped versions in between.
-        let tickets = if use_cache {
-            let mut cache = db.reuse_cache().lock();
-            mmdb_exec::apply_cache(&mut planned, &mut cache, db)
-        } else {
-            std::collections::HashMap::new()
-        };
-
-        #[cfg(feature = "check")]
-        {
-            // Checked *after* substitution: the invariants must hold for
-            // the plan we actually execute, absorbed work included.
-            let report = mmdb_check::plan_checks::check_plans(&logical, &planned, db);
-            if let Err(msg) = report.into_result() {
-                return Err(DbError::BadQuery(format!("plan invariants: {msg}")));
+        db.execute(&logical, &self.options(), cfg, use_cache, |done| {
+            // Materialize (the only copy the engine ever makes).
+            let mut rows = Vec::with_capacity(done.list.len());
+            for i in 0..done.list.len() {
+                let vals = done.list.materialize_row(i, &done.desc, done.rels)?;
+                rows.push(
+                    vals.iter()
+                        .map(mmdb_storage::Value::to_owned_value)
+                        .collect(),
+                );
             }
-        }
-
-        // Projection descriptor over the plan's binding order.
-        let mut fields = Vec::with_capacity(planned.columns.len());
-        for (t, a) in &planned.columns {
-            let source =
-                planned.tables.iter().position(|s| s == t).ok_or_else(|| {
-                    DbError::BadQuery(format!("projected table {t} is not bound"))
-                })?;
-            let attr = db.with_relation(t, |r| r.schema().index_of(a))??;
-            fields.push(OutputField::new(source, attr, &format!("{t}.{a}")));
-        }
-        let desc = ResultDescriptor::new(fields);
-
-        // Bind the operator tree to borrowed relations and execute.
-        let handles: Vec<_> = planned
-            .tables
-            .iter()
-            .map(|t| db.relation_handle(t))
-            .collect::<Result<_, _>>()?;
-        let guards: Vec<_> = handles.iter().map(|h| h.read()).collect();
-        let rels: Vec<&mmdb_storage::Relation> = guards.iter().map(|r| &**r).collect();
-        let mut root = db.bind_plan(&planned.root, &planned.tables, &rels, &desc, &tickets)?;
-        let mut ctx = ExecContext::new(cfg, planned.node_count);
-        let list = root.execute(&mut ctx)?;
-        drop(root);
-
-        // Materialize (the only copy the engine ever makes).
-        let mut rows = Vec::with_capacity(list.len());
-        for i in 0..list.len() {
-            let vals = list.materialize_row(i, &desc, &rels)?;
-            rows.push(
-                vals.iter()
-                    .map(mmdb_storage::Value::to_owned_value)
+            let mut profile = PlanProfile::assemble(&done.planned, &done.ctx);
+            profile.cache = db.cache_report();
+            Ok(QueryOutput {
+                columns: done
+                    .desc
+                    .column_names()
+                    .iter()
+                    .map(|s| (*s).to_string())
                     .collect(),
-            );
-        }
-        let mut profile = PlanProfile::assemble(&planned, &ctx);
-        profile.cache = db.cache_report();
-        Ok(QueryOutput {
-            columns: desc
-                .column_names()
-                .iter()
-                .map(|s| (*s).to_string())
-                .collect(),
-            rows,
-            profile,
+                rows,
+                profile,
+            })
         })
     }
 }

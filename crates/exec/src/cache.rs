@@ -25,7 +25,7 @@
 //! huge results go first and expensive small ones stay.
 
 use crate::error::ExecError;
-use crate::optimizer::{SelectPath, SORT_CMP_WEIGHT};
+use crate::plan::cost::{SelectPath, SORT_CMP_WEIGHT};
 use crate::plan::physical::{BoxedOperator, ExecContext, Operator};
 use crate::plan::planner::{CachedMode, NodeId, PlanNode, PlanNodeKind, PlannedQuery};
 use crate::select::Predicate;
@@ -1251,7 +1251,7 @@ impl Operator for MemoizeOp<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::optimizer::{JoinMethod, SelectPath};
+    use crate::plan::cost::{JoinMethod, SelectPath};
     use mmdb_storage::{KeyValue, TupleId};
 
     /// Fixed version oracle for unit tests.

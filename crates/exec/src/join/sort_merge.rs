@@ -15,7 +15,7 @@
 //! ≈ |R1|·log₂|R1| + |R2|·log₂|R2| + (|R1| + |R2|) — the sort dominates,
 //! but each comparison is now an L1-resident integer compare, which is why
 //! the re-fit planner constants weight Sort Merge's sort term below a
-//! value comparison (see `optimizer::SORT_CMP_WEIGHT`).
+//! value comparison (see `plan::cost::SORT_CMP_WEIGHT`).
 
 use super::{JoinOutput, JoinSide};
 use crate::error::ExecError;

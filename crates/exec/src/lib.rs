@@ -11,14 +11,13 @@
 //!   pointer join.
 //! * **Projection** ([`project`]): duplicate elimination by Hashing
 //!   \[DKO84\] (table size |R|/2) and by Sort Scan \[BBD83\].
-//! * **Access-path selection** ([`optimizer`]): the paper's §4 preference
-//!   ordering and the comparison-count cost formulas of §3.3.4.
 //! * **Partition-parallel execution** ([`parallel`]): morsel-style
 //!   multicore variants of the scan, join, and dedup hot paths, bit-
 //!   identical to their serial counterparts ([`parallel::ExecConfig`]).
 //! * **Two-phase query compilation** ([`plan`]): typed logical plans, a
 //!   cost-based planner over the §3.3.4 formulas (pushdown, join
-//!   reordering, method choice), and an instrumented operator engine
+//!   reordering, method choice) with the §4 access-path preference
+//!   ordering ([`plan::cost`]), and an instrumented operator engine
 //!   with per-operator estimates-vs-actuals profiles.
 //! * **Intermediate-result reuse** ([`cache`]): bounded plan-keyed
 //!   memoisation of selection/join temp lists with per-partition
@@ -35,7 +34,6 @@
 pub mod cache;
 pub mod error;
 pub mod join;
-pub mod optimizer;
 pub mod parallel;
 pub mod plan;
 pub mod project;
@@ -64,11 +62,11 @@ pub use join::{
     hash_join, nested_loops_join, precomputed_join, sort_merge_join, theta_nested_loops_join,
     tree_ineq_join, tree_join, tree_merge_join, IneqOp, JoinOutput, JoinSide, ThetaOp,
 };
-pub use optimizer::{choose_select_path, IndexAvailability, JoinMethod, JoinPlanner, SelectPath};
 pub use parallel::{
     merge_indexed, parallel_hash_join, parallel_nested_loops_join, parallel_project_hash,
     parallel_select_scan, parallel_theta_join, run_tasks, ExecConfig,
 };
+pub use plan::cost::{IndexAvailability, JoinMethod, SelectPath};
 pub use plan::{
     CachedMode, ExecContext, LogicalPlan, PlanError, PlanProfile, PlannedQuery, Planner,
     PlannerOptions,

@@ -3,18 +3,17 @@
 //! inputs. `Database` implements this; [`MemCatalog`] is a plain in-memory
 //! implementation for planner unit tests.
 
-use crate::optimizer::IndexAvailability;
+use crate::plan::cost::IndexAvailability;
 
 /// Per-attribute planning facts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AttrInfo {
     /// The attribute's position in its table's schema.
     pub index: usize,
     /// True for tuple-pointer (foreign key) attributes — the §2.1
     /// precomputed-join short circuit.
     pub pointer: bool,
-    /// Indexes existing on this attribute (`fk_pointer` mirrors
-    /// `pointer`).
+    /// Indexes existing on this attribute.
     pub avail: IndexAvailability,
 }
 
@@ -63,8 +62,7 @@ impl MemCatalog {
                         (*a).to_string(),
                         AttrInfo {
                             index: i,
-                            pointer: false,
-                            avail: IndexAvailability::none(),
+                            ..AttrInfo::default()
                         },
                     )
                 })
@@ -87,9 +85,7 @@ impl MemCatalog {
 
     /// Mark `table.attr` as a foreign-key pointer field.
     pub fn with_pointer(&mut self, table: &str, attr: &str) -> &mut Self {
-        let info = self.attr_mut(table, attr);
-        info.pointer = true;
-        info.avail.fk_pointer = true;
+        self.attr_mut(table, attr).pointer = true;
         self
     }
 
@@ -147,7 +143,7 @@ mod tests {
         assert_eq!(age.index, 1);
         assert!(age.avail.ttree && !age.avail.hash && !age.pointer);
         let dept_id = cat.resolve_attr("emp", "dept_id").unwrap();
-        assert!(dept_id.pointer && dept_id.avail.fk_pointer);
+        assert!(dept_id.pointer);
         let id = cat.resolve_attr("dept", "id").unwrap();
         assert!(id.avail.hash);
         assert!(cat.resolve_attr("emp", "nope").is_none());

@@ -1,4 +1,5 @@
-//! Access-path and join-method selection (§4 and §3.3.5).
+//! The cost model: access-path selection (§4) and the join comparison
+//! counts of §3.3.4.
 //!
 //! The paper's conclusion: *"query optimization in MM-DBMS should be
 //! simpler than in conventional database systems, as the cost formulas
@@ -9,49 +10,18 @@
 //! Tree Merge join is nearly always preferred when the T Tree indices
 //! already exist."*
 //!
-//! The two exceptions from §3.3.5 are encoded verbatim:
-//! 1. *"If an index exists on the larger relation and the smaller
-//!    relation is less than half the size of the larger relation, then a
-//!    Tree Join … was found to execute faster than a Hash Join."*
-//! 2. *"When the semijoin selectivity and the duplicate percentage are
-//!    both high, the Sort Merge join method should be used, particularly
-//!    if the duplicate distribution is highly skewed."*
-//!
-//! The comparison-count formulas of §3.3.4 back the choices up as cost
-//! estimates.
+//! The selection ordering is encoded verbatim ([`choose_select_path`]).
+//! The join preferences are not rules here: they fall out of the
+//! [`JoinPlanner`] formulas, which the [`Planner`](super::Planner) minimises
+//! over the feasible methods.
 
-/// What indices exist on a join column.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// What indices exist on a join column (the default: none).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IndexAvailability {
     /// A T-Tree (order-preserving) index already exists.
     pub ttree: bool,
     /// A hash index already exists.
     pub hash: bool,
-    /// The column is a foreign-key tuple-pointer field into the other
-    /// relation (§2.1) — the join is precomputed.
-    pub fk_pointer: bool,
-}
-
-impl IndexAvailability {
-    /// No indices at all.
-    #[must_use]
-    pub fn none() -> Self {
-        IndexAvailability {
-            ttree: false,
-            hash: false,
-            fk_pointer: false,
-        }
-    }
-
-    /// Only a T-Tree.
-    #[must_use]
-    pub fn ttree_only() -> Self {
-        IndexAvailability {
-            ttree: true,
-            hash: false,
-            fk_pointer: false,
-        }
-    }
 }
 
 /// Selection access paths, in the §4 preference order.
@@ -104,42 +74,8 @@ pub struct JoinPlanner {
     pub outer_card: usize,
     /// Inner cardinality |R2|.
     pub inner_card: usize,
-    /// Indices available on the outer join column.
-    pub outer: IndexAvailability,
     /// Indices available on the inner join column.
     pub inner: IndexAvailability,
-    /// Estimated duplicate percentage of the join columns (0–100).
-    pub duplicate_pct: f64,
-    /// Estimated semijoin selectivity (0–100).
-    pub semijoin_pct: f64,
-    /// True when the duplicate distribution is known to be highly skewed.
-    pub skewed: bool,
-    /// The outer input is the whole relation (an existing outer index scan
-    /// covers it). A filtered temp list is *not* full: Tree Merge cannot
-    /// be used because the index would scan tuples the input excluded.
-    pub outer_full: bool,
-    /// The inner input is the whole relation (existing inner indices are
-    /// usable for probing and merging).
-    pub inner_full: bool,
-}
-
-impl JoinPlanner {
-    /// Planner over two full relations with no duplicate/selectivity
-    /// estimates (the common starting point).
-    #[must_use]
-    pub fn full_relations(outer_card: usize, inner_card: usize) -> Self {
-        JoinPlanner {
-            outer_card,
-            inner_card,
-            outer: IndexAvailability::none(),
-            inner: IndexAvailability::none(),
-            duplicate_pct: 0.0,
-            semijoin_pct: 100.0,
-            skewed: false,
-            outer_full: true,
-            inner_full: true,
-        }
-    }
 }
 
 /// The fixed hash-probe cost `k` of §3.3.4 Test 1 ("much smaller than
@@ -190,48 +126,6 @@ impl JoinPlanner {
             JoinMethod::NestedLoops => r1 * r2,
         }
     }
-
-    /// The §4 / §3.3.5 method choice.
-    #[must_use]
-    pub fn choose(&self) -> JoinMethod {
-        // "a precomputed join is always faster than the other join
-        // methods"
-        if self.outer.fk_pointer {
-            return JoinMethod::Precomputed;
-        }
-        // Exception 2: high semijoin selectivity + high duplication →
-        // Sort Merge (thresholds from Tests 4–5: ~40–80% skewed, ~97%
-        // uniform; we adopt the paper's quoted 60/80 build-vs-merge
-        // crossovers).
-        let dup_threshold = if self.skewed { 60.0 } else { 80.0 };
-        let high_output = self.duplicate_pct >= dup_threshold && self.semijoin_pct >= 50.0;
-        // Merge via existing indices requires FULL inputs; probing an
-        // existing inner index only requires the inner to be full.
-        let both_trees = self.outer.ttree && self.inner.ttree && self.outer_full && self.inner_full;
-        if high_output {
-            // Tree Merge "is also satisfactory in this case, but the
-            // required indices may not be present."
-            return if both_trees && self.duplicate_pct < 95.0 {
-                JoinMethod::TreeMerge
-            } else {
-                JoinMethod::SortMerge
-            };
-        }
-        // "a Tree Merge join is nearly always preferred when the T Tree
-        // indices already exist"
-        if both_trees {
-            return JoinMethod::TreeMerge;
-        }
-        // Exception 1: inner index exists and outer is less than half the
-        // inner's size → Tree Join beats building a hash table.
-        if self.inner.ttree && self.inner_full && self.outer_card * 2 < self.inner_card {
-            return JoinMethod::TreeJoin;
-        }
-        // A pre-existing hash index on the inner relation also beats the
-        // tree ("this would also be true for a hash index if it already
-        // existed").
-        JoinMethod::HashJoin
-    }
 }
 
 #[cfg(test)]
@@ -239,7 +133,11 @@ mod tests {
     use super::*;
 
     fn planner(outer_card: usize, inner_card: usize) -> JoinPlanner {
-        JoinPlanner::full_relations(outer_card, inner_card)
+        JoinPlanner {
+            outer_card,
+            inner_card,
+            inner: IndexAvailability::default(),
+        }
     }
 
     #[test]
@@ -247,90 +145,18 @@ mod tests {
         let all = IndexAvailability {
             ttree: true,
             hash: true,
-            fk_pointer: false,
         };
         assert_eq!(choose_select_path(all, true), SelectPath::HashLookup);
         // Hash indices cannot serve range predicates.
         assert_eq!(choose_select_path(all, false), SelectPath::TreeLookup);
         assert_eq!(
-            choose_select_path(IndexAvailability::ttree_only(), true),
+            choose_select_path(IndexAvailability { hash: false, ..all }, true),
             SelectPath::TreeLookup
         );
         assert_eq!(
-            choose_select_path(IndexAvailability::none(), true),
+            choose_select_path(IndexAvailability::default(), true),
             SelectPath::SequentialScan
         );
-    }
-
-    #[test]
-    fn precomputed_always_wins() {
-        let mut p = planner(30_000, 30_000);
-        p.outer.fk_pointer = true;
-        p.outer.ttree = true;
-        p.inner.ttree = true;
-        assert_eq!(p.choose(), JoinMethod::Precomputed);
-    }
-
-    #[test]
-    fn tree_merge_when_both_indices_exist() {
-        let mut p = planner(30_000, 30_000);
-        p.outer.ttree = true;
-        p.inner.ttree = true;
-        assert_eq!(p.choose(), JoinMethod::TreeMerge);
-    }
-
-    #[test]
-    fn hash_join_is_default_without_indices() {
-        let p = planner(30_000, 30_000);
-        assert_eq!(p.choose(), JoinMethod::HashJoin);
-    }
-
-    #[test]
-    fn exception_1_small_outer_with_inner_index() {
-        // §3.3.5 (1): inner index + |R1| < |R2|/2 → Tree Join.
-        let mut p = planner(10_000, 30_000);
-        p.inner.ttree = true;
-        assert_eq!(p.choose(), JoinMethod::TreeJoin);
-        // Crossover: once the outer grows past half the inner, Hash Join.
-        let mut p = planner(20_000, 30_000);
-        p.inner.ttree = true;
-        assert_eq!(p.choose(), JoinMethod::HashJoin);
-    }
-
-    #[test]
-    fn exception_2_high_output_joins_use_sort_merge() {
-        // §3.3.5 (2): skewed duplicates ≥ 60% → Sort Merge (no indices).
-        let mut p = planner(20_000, 20_000);
-        p.duplicate_pct = 70.0;
-        p.skewed = true;
-        assert_eq!(p.choose(), JoinMethod::SortMerge);
-        // Uniform duplicates need ~80%.
-        let mut p = planner(20_000, 20_000);
-        p.duplicate_pct = 70.0;
-        assert_eq!(p.choose(), JoinMethod::HashJoin);
-        let mut p = planner(20_000, 20_000);
-        p.duplicate_pct = 85.0;
-        assert_eq!(p.choose(), JoinMethod::SortMerge);
-        // At extreme duplication even existing trees lose to Sort Merge
-        // (Graph 8: crossover ≈ 97%).
-        let mut p = planner(20_000, 20_000);
-        p.duplicate_pct = 98.0;
-        p.outer.ttree = true;
-        p.inner.ttree = true;
-        assert_eq!(p.choose(), JoinMethod::SortMerge);
-    }
-
-    #[test]
-    fn filtered_inputs_disable_index_merges() {
-        // A filtered (non-full) outer list cannot Tree Merge even when
-        // both indices exist; a non-full inner also rules out Tree Join.
-        let mut p = planner(1_000, 30_000);
-        p.outer.ttree = true;
-        p.inner.ttree = true;
-        p.outer_full = false;
-        assert_eq!(p.choose(), JoinMethod::TreeJoin, "probe path still fine");
-        p.inner_full = false;
-        assert_eq!(p.choose(), JoinMethod::HashJoin);
     }
 
     #[test]

@@ -13,6 +13,7 @@
 //! a stable explain rendering.
 
 pub mod catalog;
+pub mod cost;
 pub mod kernels;
 pub mod logical;
 pub mod physical;

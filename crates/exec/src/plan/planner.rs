@@ -6,7 +6,7 @@
 //! and join order. Estimates are §3.3.4 *comparison counts* via
 //! [`JoinPlanner::estimated_comparisons`], with the Sort Merge sort term
 //! re-fit to the cache-conscious tag-sort kernel (see
-//! [`crate::optimizer::SORT_CMP_WEIGHT`]): its `n·log n` comparisons are
+//! [`crate::plan::cost::SORT_CMP_WEIGHT`]): its `n·log n` comparisons are
 //! L1-resident integer compares, cheaper than the tuple-dereferencing
 //! comparisons the other methods count.
 //!
@@ -24,10 +24,8 @@
 //! match one inner tuple — the foreign-key shape of the paper's §3.3
 //! workloads.
 
-use crate::optimizer::{
-    choose_select_path, IndexAvailability, JoinMethod, JoinPlanner, SelectPath, HASH_PROBE_COST,
-};
 use crate::plan::catalog::{AttrInfo, PlanCatalog};
+use crate::plan::cost::{choose_select_path, JoinMethod, JoinPlanner, SelectPath, HASH_PROBE_COST};
 use crate::plan::logical::LogicalPlan;
 use crate::select::Predicate;
 
@@ -319,21 +317,27 @@ fn lg(x: f64) -> f64 {
     }
 }
 
-/// One pending filter during planning.
-#[derive(Clone)]
-struct FilterFact {
-    table: String,
-    attr: String,
-    pred: Predicate,
+/// One pending filter during planning (borrowed from the logical plan).
+#[derive(Clone, Copy)]
+struct FilterFact<'l> {
+    table: &'l str,
+    attr: &'l str,
+    pred: &'l Predicate,
+    /// Catalog facts for `table.attr`, resolved once during validation.
+    info: AttrInfo,
 }
 
-/// One pending join during planning.
-#[derive(Clone)]
-struct JoinFact {
-    source_table: String,
-    outer_attr: String,
-    inner_table: String,
-    inner_attr: String,
+/// One pending join during planning (borrowed from the logical plan).
+#[derive(Clone, Copy)]
+struct JoinFact<'l> {
+    source_table: &'l str,
+    outer_attr: &'l str,
+    inner_table: &'l str,
+    inner_attr: &'l str,
+    /// Catalog facts for both join attributes, resolved once during
+    /// validation.
+    outer: AttrInfo,
+    inner: AttrInfo,
     /// Original written position (reorder tie-break).
     written: usize,
 }
@@ -353,45 +357,39 @@ impl Planner {
         catalog: &dyn PlanCatalog,
         options: &PlannerOptions,
     ) -> Result<PlannedQuery, PlanError> {
-        let base = logical.base().to_string();
-        if catalog.cardinality(&base).is_none() {
-            return Err(PlanError::UnknownTable(base));
+        let base = logical.base();
+        if catalog.cardinality(base).is_none() {
+            return Err(PlanError::UnknownTable(base.to_string()));
         }
 
         // Resolve and validate every reference in written order.
         let mut filters: Vec<FilterFact> = Vec::new();
         let mut joins: Vec<JoinFact> = Vec::new();
         {
-            let mut written_bound = vec![base.clone()];
+            let mut written_bound = vec![base];
             // Interleave filters and joins exactly as written: walk the
             // linear spine bottom-up.
             let mut steps: Vec<Result<FilterFact, JoinFact>> = Vec::new();
             collect_steps(logical, &mut steps);
             for (pos, step) in steps.into_iter().enumerate() {
                 match step {
-                    Ok(filt) => {
-                        resolve(catalog, &filt.table, &filt.attr)?;
+                    Ok(mut filt) => {
+                        filt.info = resolve(catalog, filt.table, filt.attr)?;
                         if !written_bound.contains(&filt.table) {
-                            return Err(PlanError::Unbound {
-                                table: filt.table,
-                                bound: written_bound,
-                            });
+                            return Err(unbound(filt.table, &written_bound));
                         }
                         if filters.iter().any(|f| f.table == filt.table) {
-                            return Err(PlanError::DuplicateFilter(filt.table));
+                            return Err(PlanError::DuplicateFilter(filt.table.to_string()));
                         }
                         filters.push(filt);
                     }
                     Err(mut join) => {
-                        resolve(catalog, &join.source_table, &join.outer_attr)?;
-                        resolve(catalog, &join.inner_table, &join.inner_attr)?;
+                        join.outer = resolve(catalog, join.source_table, join.outer_attr)?;
+                        join.inner = resolve(catalog, join.inner_table, join.inner_attr)?;
                         if !written_bound.contains(&join.source_table) {
-                            return Err(PlanError::Unbound {
-                                table: join.source_table,
-                                bound: written_bound,
-                            });
+                            return Err(unbound(join.source_table, &written_bound));
                         }
-                        written_bound.push(join.inner_table.clone());
+                        written_bound.push(join.inner_table);
                         join.written = pos;
                         joins.push(join);
                     }
@@ -402,7 +400,7 @@ impl Planner {
         let state = PlanState {
             catalog,
             options,
-            base: base.clone(),
+            base,
             filters,
         };
         let (root, tables) = state.build(joins, logical)?;
@@ -465,12 +463,12 @@ impl Planner {
 struct PlanState<'c> {
     catalog: &'c dyn PlanCatalog,
     options: &'c PlannerOptions,
-    base: String,
-    filters: Vec<FilterFact>,
+    base: &'c str,
+    filters: Vec<FilterFact<'c>>,
 }
 
-impl PlanState<'_> {
-    fn filter_on(&self, table: &str) -> Option<&FilterFact> {
+impl<'c> PlanState<'c> {
+    fn filter_on(&self, table: &str) -> Option<&FilterFact<'c>> {
         self.filters.iter().find(|f| f.table == table)
     }
 
@@ -492,17 +490,9 @@ impl PlanState<'_> {
                 card,
             ),
             Some(f) => {
-                let info = self
-                    .catalog
-                    .resolve_attr(table, &f.attr)
-                    .unwrap_or(AttrInfo {
-                        index: 0,
-                        pointer: false,
-                        avail: IndexAvailability::none(),
-                    });
                 let exact = matches!(f.pred, Predicate::Eq(_));
-                let path = choose_select_path(info.avail, exact);
-                let est_rows = card * selectivity(&f.pred);
+                let path = choose_select_path(f.info.avail, exact);
+                let est_rows = card * selectivity(f.pred);
                 let est_comparisons = match path {
                     SelectPath::HashLookup => HASH_PROBE_COST,
                     SelectPath::TreeLookup => lg(card),
@@ -513,7 +503,7 @@ impl PlanState<'_> {
                         id: 0,
                         kind: PlanNodeKind::Select {
                             table: table.to_string(),
-                            attr: f.attr.clone(),
+                            attr: f.attr.to_string(),
                             pred: f.pred.clone(),
                             path,
                         },
@@ -542,13 +532,13 @@ impl PlanState<'_> {
         // order. A base filter written *after* a join becomes a
         // PostFilter below.
         let base_filter = self
-            .filter_on(&self.base)
-            .filter(|_| pushdown || filter_written_before_joins(logical, &self.base));
-        let (mut tree, mut cur_rows) = self.access_node(&self.base.clone(), base_filter);
+            .filter_on(self.base)
+            .filter(|_| pushdown || filter_written_before_joins(logical, self.base));
+        let (mut tree, mut cur_rows) = self.access_node(self.base, base_filter);
         let base_filtered = base_filter.is_some();
 
         // Per-table estimated distinct cardinality once bound.
-        let mut tables = vec![self.base.clone()];
+        let mut tables = vec![self.base];
         let mut est_card: Vec<f64> = vec![cur_rows];
 
         // Naive placement: filters not applied at the base run as
@@ -595,18 +585,12 @@ impl PlanState<'_> {
             }
             let Some((idx, choice)) = best else {
                 // No pending join's source is bound.
-                return Err(PlanError::Unbound {
-                    table: pending[0].source_table.clone(),
-                    bound: tables,
-                });
+                return Err(unbound(pending[0].source_table, &tables));
             };
             // In written order the *first* pending join must be the one
             // taken; a later-bound candidate means the first is unbound.
             if !reorder && idx != 0 {
-                return Err(PlanError::Unbound {
-                    table: pending[0].source_table.clone(),
-                    bound: tables,
-                });
+                return Err(unbound(pending[0].source_table, &tables));
             }
             let j = pending.remove(idx);
 
@@ -636,28 +620,28 @@ impl PlanState<'_> {
                     children: Vec::new(),
                 },
             )];
-            let mut inner_est = self.catalog.cardinality(&j.inner_table).unwrap_or(0) as f64;
+            let mut inner_est = self.catalog.cardinality(j.inner_table).unwrap_or(0) as f64;
             if choice.materialise_inner {
                 let inner_filter = if pushdown {
-                    self.filter_on(&j.inner_table)
+                    self.filter_on(j.inner_table)
                 } else {
                     None
                 };
-                let (inner_node, rows) = self.access_node(&j.inner_table, inner_filter);
+                let (inner_node, rows) = self.access_node(j.inner_table, inner_filter);
                 inner_est = rows;
                 children.push(inner_node);
             } else if pushdown {
-                if let Some(f) = self.filter_on(&j.inner_table) {
+                if let Some(f) = self.filter_on(j.inner_table) {
                     // Index-based inner access cannot honour a pushed
                     // filter; the planner only chooses such methods when
                     // the inner is unfiltered, so reaching here means the
                     // filter exists but the method ignores it — scale the
                     // estimate anyway for the output row count.
-                    inner_est *= selectivity(&f.pred);
+                    inner_est *= selectivity(f.pred);
                 }
             }
             // One-match-per-outer heuristic, scaled by any inner filter.
-            let inner_card_raw = self.catalog.cardinality(&j.inner_table).unwrap_or(0) as f64;
+            let inner_card_raw = self.catalog.cardinality(j.inner_table).unwrap_or(0) as f64;
             let match_frac = if inner_card_raw > 0.0 {
                 inner_est / inner_card_raw
             } else {
@@ -670,10 +654,10 @@ impl PlanState<'_> {
                 id: 0,
                 kind: PlanNodeKind::Join {
                     method: choice.method,
-                    source_table: j.source_table.clone(),
-                    outer_attr: j.outer_attr.clone(),
-                    inner_table: j.inner_table.clone(),
-                    inner_attr: j.inner_attr.clone(),
+                    source_table: j.source_table.to_string(),
+                    outer_attr: j.outer_attr.to_string(),
+                    inner_table: j.inner_table.to_string(),
+                    inner_attr: j.inner_attr.to_string(),
                     src_col: choice.src_col,
                     rejected: choice.rejected,
                 },
@@ -681,7 +665,7 @@ impl PlanState<'_> {
                 est_comparisons: choice.cost,
                 children,
             };
-            tables.push(j.inner_table.clone());
+            tables.push(j.inner_table);
             est_card.push(inner_est);
             joins_done += 1;
         }
@@ -693,25 +677,25 @@ impl PlanState<'_> {
             cur_rows = rows;
         }
 
-        Ok((tree, tables))
+        Ok((tree, tables.iter().map(ToString::to_string).collect()))
     }
 
     fn post_filter_node(
         &self,
         f: &FilterFact,
-        tables: &[String],
+        tables: &[&str],
         input: PlanNode,
         cur_rows: f64,
     ) -> (PlanNode, f64) {
         // Written-order validation already guaranteed boundness.
         let src_col = tables.iter().position(|t| *t == f.table).unwrap_or(0);
-        let est_rows = cur_rows * selectivity(&f.pred);
+        let est_rows = cur_rows * selectivity(f.pred);
         (
             PlanNode {
                 id: 0,
                 kind: PlanNodeKind::PostFilter {
-                    table: f.table.clone(),
-                    attr: f.attr.clone(),
+                    table: f.table.to_string(),
+                    attr: f.attr.to_string(),
                     pred: f.pred.clone(),
                     src_col,
                 },
@@ -733,44 +717,22 @@ impl PlanState<'_> {
         outer_full: bool,
         pushdown: bool,
     ) -> Result<JoinChoice, PlanError> {
-        // These resolves succeeded during validation.
-        let outer_info = self
-            .catalog
-            .resolve_attr(&j.source_table, &j.outer_attr)
-            .unwrap_or(AttrInfo {
-                index: 0,
-                pointer: false,
-                avail: IndexAvailability::none(),
-            });
-        let inner_info = self
-            .catalog
-            .resolve_attr(&j.inner_table, &j.inner_attr)
-            .unwrap_or(AttrInfo {
-                index: 0,
-                pointer: false,
-                avail: IndexAvailability::none(),
-            });
+        let (outer_info, inner_info) = (j.outer, j.inner);
         let inner_filter = if pushdown {
-            self.filter_on(&j.inner_table)
+            self.filter_on(j.inner_table)
         } else {
             None
         };
         let inner_full = inner_filter.is_none();
-        let inner_card_raw = self.catalog.cardinality(&j.inner_table).unwrap_or(0) as f64;
+        let inner_card_raw = self.catalog.cardinality(j.inner_table).unwrap_or(0) as f64;
         let inner_card = match inner_filter {
-            Some(f) => inner_card_raw * selectivity(&f.pred),
+            Some(f) => inner_card_raw * selectivity(f.pred),
             None => inner_card_raw,
         };
         let planner = JoinPlanner {
             outer_card: outer_card.round() as usize,
             inner_card: inner_card.round().max(0.0) as usize,
-            outer: outer_info.avail,
             inner: inner_info.avail,
-            duplicate_pct: 0.0,
-            semijoin_pct: 100.0,
-            skewed: false,
-            outer_full,
-            inner_full,
         };
         let feasible = |m: JoinMethod| -> bool {
             match m {
@@ -842,6 +804,13 @@ struct JoinChoice {
     materialise_inner: bool,
 }
 
+fn unbound(table: &str, bound: &[&str]) -> PlanError {
+    PlanError::Unbound {
+        table: table.to_string(),
+        bound: bound.iter().map(ToString::to_string).collect(),
+    }
+}
+
 fn resolve(catalog: &dyn PlanCatalog, table: &str, attr: &str) -> Result<AttrInfo, PlanError> {
     if catalog.cardinality(table).is_none() {
         return Err(PlanError::UnknownTable(table.to_string()));
@@ -856,7 +825,7 @@ fn resolve(catalog: &dyn PlanCatalog, table: &str, attr: &str) -> Result<AttrInf
 
 /// Flatten the linear spine into written-order steps
 /// (`Ok` = filter, `Err` = join — just a cheap two-variant carrier).
-fn collect_steps(node: &LogicalPlan, out: &mut Vec<Result<FilterFact, JoinFact>>) {
+fn collect_steps<'l>(node: &'l LogicalPlan, out: &mut Vec<Result<FilterFact<'l>, JoinFact<'l>>>) {
     match node {
         LogicalPlan::Scan { .. } => {}
         LogicalPlan::Filter {
@@ -867,9 +836,10 @@ fn collect_steps(node: &LogicalPlan, out: &mut Vec<Result<FilterFact, JoinFact>>
         } => {
             collect_steps(input, out);
             out.push(Ok(FilterFact {
-                table: table.clone(),
-                attr: attr.clone(),
-                pred: pred.clone(),
+                table,
+                attr,
+                pred,
+                info: AttrInfo::default(),
             }));
         }
         LogicalPlan::Join {
@@ -881,10 +851,12 @@ fn collect_steps(node: &LogicalPlan, out: &mut Vec<Result<FilterFact, JoinFact>>
         } => {
             collect_steps(input, out);
             out.push(Err(JoinFact {
-                source_table: source_table.clone(),
-                outer_attr: outer_attr.clone(),
-                inner_table: inner_table.clone(),
-                inner_attr: inner_attr.clone(),
+                source_table,
+                outer_attr,
+                inner_table,
+                inner_attr,
+                outer: AttrInfo::default(),
+                inner: AttrInfo::default(),
                 written: 0,
             }));
         }

@@ -15,7 +15,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::print_stdout)]
 
 use mmdb_core::{Database, IndexKind};
-use mmdb_exec::{JoinMethod, Predicate};
+use mmdb_exec::Predicate;
 use mmdb_storage::{AttrType, KeyValue, OwnedValue, Schema, TupleId};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -100,10 +100,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("  {:?}, {:?} → {:?}", emp[0][0], emp[0][1], dept[0][0]);
     }
     // The planner knows employee.dept is precomputed:
-    assert_eq!(
-        db.plan_join("employee", "dept", "department", "name")?,
-        JoinMethod::Precomputed
-    );
+    let plan = db
+        .query("employee")
+        .join("dept", "department", "name")
+        .explain()?;
+    assert!(plan.contains("join[Precomputed]"), "{plan}");
 
     // ---- Query 2 --------------------------------------------------------
     // Selection on Department, then a join whose comparisons are on tuple
@@ -121,11 +122,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // The full precomputed join, §3.3.5's "beats every method".
-    let (result, method) = db.join("employee", "dept", "department", "name")?;
+    let result = db
+        .query("employee")
+        .join("dept", "department", "name")
+        .run()?;
+    let join = result.profile.joins()[0];
     println!(
-        "precomputed join produced {} pairs via {method:?} in {} comparisons",
-        result.len(),
-        result.stats.comparisons
+        "precomputed join produced {} pairs via {:?} in {} comparisons",
+        result.rows.len(),
+        join.method.expect("join nodes carry their method"),
+        join.stats.comparisons
     );
     Ok(())
 }

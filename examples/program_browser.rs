@@ -151,10 +151,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 4. A join: list (caller name, callee name) pairs via the planner's
     //    chosen method, plus big-function filtering through the T-Tree.
-    let (pairs, method) = db.join("calls", "callee", "function", "id")?;
+    let pairs = db
+        .query("calls")
+        .join("callee", "function", "id")
+        .project(&[("calls", "caller"), ("function", "name")])
+        .run()?;
     println!(
-        "call edges joined to functions via {method:?}: {} rows",
-        pairs.len()
+        "call edges joined to functions via {:?}: {} rows",
+        pairs.profile.joins()[0]
+            .method
+            .expect("join nodes carry their method"),
+        pairs.rows.len()
     );
     let big = db.select("function", "loc", &Predicate::greater(KeyValue::Int(200)))?;
     let mut big_names: Vec<String> = db

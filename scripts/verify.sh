@@ -71,6 +71,17 @@ gate "checker-selftests" cargo test -p mmdb-check -q
 # clean, within its bounded seed budget.
 gate "explorer-smoke"    cargo test -p mmdb-check explore -q
 
+# Example smoke: the ported library walk-throughs must run to the end,
+# not only compile (each asserts its own answers; multi_user checks that
+# money is conserved across concurrent TxnEngine sessions).
+examples_smoke() {
+    for ex in quickstart employee_department program_browser multi_user; do
+        cargo run --release -q --example "$ex" > /dev/null ||
+            { echo "example $ex failed"; return 1; }
+    done
+}
+gate "examples-smoke"    examples_smoke
+
 # Planner gates: golden explain snapshots (exact plan renderings for
 # every join method, pushdown, and reordering) and the accuracy smoke —
 # the cost model's chosen method must land within tolerance of the

@@ -2,38 +2,48 @@
 //! the planned execution is tuple-for-tuple identical to every forced
 //! join method and to fully serial execution, and the chosen join
 //! method never estimates more comparisons than any alternative the
-//! planner rejected.
+//! planner rejected. `Database::select` and `Session::select` return
+//! exactly the planned selection's tuples, on every access path.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use mmdb_core::{Database, IndexKind, QueryOutput};
-use mmdb_exec::{JoinMethod, Predicate};
-use mmdb_storage::{AttrType, KeyValue, OwnedValue, Schema};
+use mmdb_core::{Database, IndexKind, TxnEngine};
+use mmdb_exec::{JoinMethod, Predicate, SelectPath};
+use mmdb_storage::{AttrType, KeyValue, OwnedValue, Schema, Value};
 use proptest::prelude::*;
 
 /// Three tables with T-Trees on every join attribute, loaded from the
 /// generated value vectors. `r1.jcol` joins `r2.jcol`; `r2.jcol` joins
-/// `r3.jcol` (chained).
+/// `r3.jcol` (chained). `h` and `u` repeat `jcol` behind a hash index
+/// and no index, so each §4 access path has an attribute.
 fn build_db(r1: &[i64], r2: &[i64], r3: &[i64]) -> Database {
     let mut db = Database::in_memory();
     for t in ["r1", "r2", "r3"] {
         db.create_table(
             t,
-            Schema::of(&[("pk", AttrType::Int), ("jcol", AttrType::Int)]),
+            Schema::of(&[
+                ("pk", AttrType::Int),
+                ("jcol", AttrType::Int),
+                ("h", AttrType::Int),
+                ("u", AttrType::Int),
+            ]),
         )
         .unwrap();
         db.create_index(&format!("{t}_pk"), t, "pk", IndexKind::TTree)
             .unwrap();
         db.create_index(&format!("{t}_jcol"), t, "jcol", IndexKind::TTree)
             .unwrap();
+        db.create_index(&format!("{t}_h"), t, "h", IndexKind::Hash)
+            .unwrap();
     }
     let mut txn = db.begin();
     for (t, vals) in [("r1", r1), ("r2", r2), ("r3", r3)] {
         for (i, v) in vals.iter().enumerate() {
+            let v = OwnedValue::Int(*v);
             db.insert(
                 &mut txn,
                 t,
-                vec![OwnedValue::Int(i as i64), OwnedValue::Int(*v)],
+                vec![OwnedValue::Int(i as i64), v.clone(), v.clone(), v],
             )
             .unwrap();
         }
@@ -43,8 +53,8 @@ fn build_db(r1: &[i64], r2: &[i64], r3: &[i64]) -> Database {
 }
 
 /// Canonical multiset of output rows for order-insensitive comparison.
-fn canonical(out: &QueryOutput) -> Vec<String> {
-    let mut rows: Vec<String> = out.rows.iter().map(|r| format!("{r:?}")).collect();
+fn canonical(rows: &[Vec<OwnedValue>]) -> Vec<String> {
+    let mut rows: Vec<String> = rows.iter().map(|r| format!("{r:?}")).collect();
     rows.sort();
     rows
 }
@@ -84,7 +94,7 @@ proptest! {
         };
 
         let planned = query().run().unwrap();
-        let want = canonical(&planned);
+        let want = canonical(&planned.rows);
 
         // Fully serial execution is tuple-for-tuple identical (same
         // order, not just the same multiset).
@@ -94,12 +104,12 @@ proptest! {
         // Every forced method yields the same multiset of rows.
         for m in FORCIBLE {
             let forced = query().force_join_method(m).run().unwrap();
-            prop_assert_eq!(canonical(&forced), want.clone(), "{:?}", m);
+            prop_assert_eq!(canonical(&forced.rows), want.clone(), "{:?}", m);
         }
 
         // Naive as-written placement agrees too.
         let naive = query().pushdown(false).reorder(false).run().unwrap();
-        prop_assert_eq!(canonical(&naive), want.clone());
+        prop_assert_eq!(canonical(&naive.rows), want.clone());
 
         // The chosen method never estimates more comparisons than any
         // rejected alternative.
@@ -116,6 +126,47 @@ proptest! {
                 );
             }
         }
+
+        // Single-table selections: Eq and range over a T-Tree, a hash
+        // and an unindexed attribute cover all three access paths.
+        let selections = [
+            ("jcol", Predicate::Eq(KeyValue::Int(lo)), SelectPath::TreeLookup),
+            ("jcol", Predicate::greater(KeyValue::Int(lo)), SelectPath::TreeLookup),
+            ("h", Predicate::Eq(KeyValue::Int(lo)), SelectPath::HashLookup),
+            ("h", Predicate::greater(KeyValue::Int(lo)), SelectPath::SequentialScan),
+            ("u", Predicate::Eq(KeyValue::Int(lo)), SelectPath::SequentialScan),
+            ("u", Predicate::greater(KeyValue::Int(lo)), SelectPath::SequentialScan),
+        ];
+        let mut selected = Vec::new();
+        for (attr, pred, path) in &selections {
+            let query = || db.query("r1").filter(attr, pred.clone()).project(&[("r1", "pk")]);
+            let explained = query().explain().unwrap();
+            prop_assert!(explained.contains(&format!("via {path:?}")), "{}", explained);
+            let planned = query().run().unwrap();
+            let serial = query().parallelism(1).run().unwrap();
+            prop_assert_eq!(&serial.rows, &planned.rows);
+            let naive = query().pushdown(false).reorder(false).run().unwrap();
+            prop_assert_eq!(&naive.rows, &planned.rows);
+            let brute: Vec<Vec<OwnedValue>> = v1
+                .iter()
+                .enumerate()
+                .filter(|(_, v)| pred.matches(&Value::Int(**v)))
+                .map(|(i, _)| vec![OwnedValue::Int(i as i64)])
+                .collect();
+            prop_assert_eq!(canonical(&planned.rows), canonical(&brute));
+            // The wrapper returns the planned tuples in the planned order.
+            let tids = db.select("r1", attr, pred).unwrap().column(0);
+            prop_assert_eq!(&db.fetch("r1", &tids, &["pk"]).unwrap(), &planned.rows);
+            selected.push(tids);
+        }
+        let engine = TxnEngine::new(db);
+        let session = engine.session();
+        let mut txn = session.begin();
+        for ((attr, pred, _), want) in selections.iter().zip(&selected) {
+            let got = session.select(&mut txn, "r1", attr, pred).unwrap().column(0);
+            prop_assert_eq!(&got, want, "{} {}", attr, pred);
+        }
+        session.commit(txn).unwrap();
     }
 
     #[test]
