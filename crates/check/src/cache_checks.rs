@@ -1,6 +1,10 @@
 //! Reuse-cache invariants: every resident entry's fingerprint re-derives
 //! from its canonical form, stamp bookkeeping is internally consistent,
-//! and no entry whose inputs have changed can be served.
+//! no entry whose inputs have changed can be served, and both entry
+//! indexes are exactly what the resident entries call for: the
+//! per-table reader index files every entry under each table it reads,
+//! and the subsumption-candidate index files the order-safe keyed
+//! entries under their `(table, attr)`.
 //!
 //! The staleness judgement here is *independent* of the cache's own
 //! freshness test: [`check_cache`] recomputes "did any input move?" from
@@ -10,6 +14,7 @@
 
 use crate::report::Report;
 use mmdb_exec::cache::{fingerprint, DeltaEvent, ReuseCache, VersionSource, DELTA_BUDGET};
+use std::collections::BTreeSet;
 
 const STRUCTURE: &str = "reuse cache";
 
@@ -166,7 +171,7 @@ pub fn check_cache(cache: &ReuseCache, live: &dyn VersionSource) -> Report {
                 monotone &= versions_le(prev, &d.versions_after);
                 prev = &d.versions_after;
             }
-            monotone &= prev == e.delta_stamps.as_slice();
+            monotone &= prev == &e.delta_stamps[..];
             if !monotone {
                 report.fail(
                     STRUCTURE,
@@ -193,7 +198,7 @@ pub fn check_cache(cache: &ReuseCache, live: &dyn VersionSource) -> Report {
                 && maintainable
                 && e.epoch == live.catalog_epoch()
                 && e.tables.len() == 1
-                && live.table_versions(&e.tables[0]).as_deref() == Some(e.delta_stamps.as_slice());
+                && live.table_versions(&e.tables[0]).as_deref() == Some(&e.delta_stamps[..]);
             let delta_served = cache.would_serve_delta(e.fingerprint, &e.canonical, live);
             if gap_covered && derivable && !delta_served {
                 report.fail(
@@ -212,7 +217,9 @@ pub fn check_cache(cache: &ReuseCache, live: &dyn VersionSource) -> Report {
                         .to_string(),
                 );
             }
-        } else if !e.delta_stamps.is_empty() && e.stamps.first() != Some(&e.delta_stamps) {
+        } else if !e.delta_stamps.is_empty()
+            && e.stamps.first().map(Vec::as_slice) != Some(&e.delta_stamps[..])
+        {
             // An empty chain means "no pending maintenance": the tip
             // must sit exactly at the compute-time stamp.
             report.fail(
@@ -226,6 +233,61 @@ pub fn check_cache(cache: &ReuseCache, live: &dyn VersionSource) -> Report {
                 ),
             );
         }
+    }
+
+    // The candidate index is derived state: it must file exactly the
+    // resident order-safe keyed entries, each under its own key's
+    // (table, attr). A missing filing hides a subsumer from probes; a
+    // stray one points probes at an entry that is gone or was re-keyed.
+    let derived: BTreeSet<(&str, &str, u64)> = cache
+        .entries()
+        .filter_map(|e| {
+            e.key
+                .as_ref()
+                .filter(|k| k.order_safe)
+                .map(|k| (k.table.as_str(), k.attr.as_str(), e.fingerprint))
+        })
+        .collect();
+    let filed: BTreeSet<(&str, &str, u64)> = cache.candidates().iter().collect();
+    for (t, a, fp) in derived.difference(&filed) {
+        report.fail(
+            STRUCTURE,
+            format!("candidate index ({t}, {a})"),
+            "every resident order-safe keyed entry is filed under its (table, attr)",
+            format!("entry {fp:#x} is not filed"),
+        );
+    }
+    for (t, a, fp) in filed.difference(&derived) {
+        report.fail(
+            STRUCTURE,
+            format!("candidate index ({t}, {a})"),
+            "the candidate index files only resident order-safe keyed entries",
+            format!("{fp:#x} is filed but no such entry is resident"),
+        );
+    }
+
+    // The reader index is derived state too: a write visits only the
+    // entries filed under its table, so a missing filing would leave a
+    // dead entry resident.
+    let derived: BTreeSet<(&str, u64)> = cache
+        .entries()
+        .flat_map(|e| e.tables.iter().map(move |t| (t.as_str(), e.fingerprint)))
+        .collect();
+    let filed: BTreeSet<(&str, u64)> = cache.readers().collect();
+    for (t, fp) in derived.symmetric_difference(&filed) {
+        report.fail(
+            STRUCTURE,
+            format!("reader index ({t})"),
+            "the reader index files each resident entry under exactly the tables it reads",
+            format!(
+                "{fp:#x} is {}",
+                if filed.contains(&(t, *fp)) {
+                    "filed but does not read the table"
+                } else {
+                    "not filed"
+                }
+            ),
+        );
     }
 
     // Occupancy accounting must agree with the per-entry bytes.
@@ -257,6 +319,7 @@ mod tests {
     use mmdb_exec::Predicate;
     use mmdb_storage::{KeyValue, TempList, TupleId};
     use std::collections::HashMap;
+    use std::sync::Arc;
 
     struct MemVersions(HashMap<String, Vec<u64>>);
 
@@ -304,8 +367,9 @@ mod tests {
         let mut cache = ReuseCache::default();
         cache.insert(&ticket(5), &rows());
         assert!(check_cache(&cache, &live(5)).is_ok());
-        // Stale-but-resident is fine too: lazy invalidation means the
-        // entry lingers, the invariant is only that it cannot serve.
+        // Stale-but-resident is fine too: a write that bypassed the log
+        // leaves the entry resident, the invariant is only that it
+        // cannot serve.
         assert!(check_cache(&cache, &live(6)).is_ok());
     }
 
@@ -402,8 +466,8 @@ mod tests {
         // Break monotonicity: the chain claims the write *lowered* a
         // version counter.
         for e in cache.entries_mut() {
-            e.deltas[0].versions_after = vec![4];
-            e.delta_stamps = vec![4];
+            e.deltas[0].versions_after = Arc::from([4]);
+            e.delta_stamps = Arc::from([4]);
         }
         let report = check_cache(&cache, &live(6));
         let err = format!("{:?}", report.into_result());
@@ -416,7 +480,7 @@ mod tests {
         maintained_entry(&mut cache);
         // delta_stamps disagrees with the last record's vector.
         for e in cache.entries_mut() {
-            e.delta_stamps = vec![9];
+            e.delta_stamps = Arc::from([9]);
         }
         assert!(!check_cache(&cache, &live(6)).is_ok());
     }
@@ -443,9 +507,9 @@ mod tests {
         for e in cache.entries_mut() {
             e.deltas.push(DeltaRec {
                 event: DeltaEvent::Insert(TupleId::new(0, 7)),
-                versions_after: vec![6],
+                versions_after: Arc::from([6]),
             });
-            e.delta_stamps = vec![6];
+            e.delta_stamps = Arc::from([6]);
         }
         let report = check_cache(&cache, &live(6));
         let err = format!("{:?}", report.into_result());
@@ -459,13 +523,68 @@ mod tests {
         for e in cache.entries_mut() {
             e.deltas.push(DeltaRec {
                 event: DeltaEvent::Barrier,
-                versions_after: vec![7],
+                versions_after: Arc::from([7]),
             });
-            e.delta_stamps = vec![7];
+            e.delta_stamps = Arc::from([7]);
         }
         let report = check_cache(&cache, &live(7));
         let err = format!("{:?}", report.into_result());
         assert!(err.contains("Barrier"), "{err}");
+    }
+
+    #[test]
+    fn unfiled_candidate_is_caught() {
+        let mut cache = ReuseCache::default();
+        cache.insert(&keyed_ticket(5), &rows());
+        assert!(check_cache(&cache, &live(5)).is_ok());
+        // Drop the filing: probes would no longer see this subsumer.
+        let fp = keyed_ticket(5).fingerprint;
+        cache.candidates_mut().remove("emp", "age", fp);
+        let err = format!("{:?}", check_cache(&cache, &live(5)).into_result());
+        assert!(err.contains("is not filed"), "{err}");
+    }
+
+    #[test]
+    fn stray_candidate_is_caught() {
+        let mut cache = ReuseCache::default();
+        cache.insert(&keyed_ticket(5), &rows());
+        // File the entry under an attribute it does not select on, and
+        // a fingerprint no entry has.
+        let fp = keyed_ticket(5).fingerprint;
+        cache.candidates_mut().add("emp", "salary", fp);
+        cache.candidates_mut().add("emp", "age", fp ^ 1);
+        let err = format!("{:?}", check_cache(&cache, &live(5)).into_result());
+        assert!(err.contains("(emp, salary)"), "{err}");
+        assert!(err.contains(&format!("{:#x}", fp ^ 1)), "{err}");
+    }
+
+    #[test]
+    fn rekeyed_entry_is_caught_by_the_index_check() {
+        let mut cache = ReuseCache::default();
+        cache.insert(&keyed_ticket(5), &rows());
+        // Flip the entry to hash order behind the index's back: it is
+        // still filed, but can no longer answer a narrower query.
+        for e in cache.entries_mut() {
+            let k = e.key.as_mut().unwrap();
+            k.order_safe = false;
+            k.maintainable = false;
+        }
+        let err = format!("{:?}", check_cache(&cache, &live(5)).into_result());
+        assert!(err.contains("files only resident order-safe"), "{err}");
+    }
+
+    #[test]
+    fn retabled_entry_is_caught_by_the_reader_index_check() {
+        let mut cache = ReuseCache::default();
+        cache.insert(&ticket(5), &rows());
+        // Point the entry at another table behind the index's back: a
+        // write to `emp` would no longer visit it.
+        for e in cache.entries_mut() {
+            e.tables = vec!["dept".to_string()];
+        }
+        let err = format!("{:?}", check_cache(&cache, &live(5)).into_result());
+        assert!(err.contains("reader index (dept)"), "{err}");
+        assert!(err.contains("reader index (emp)"), "{err}");
     }
 
     #[test]
@@ -474,7 +593,7 @@ mod tests {
         cache.insert(&keyed_ticket(5), &rows());
         // Empty chain but a tip that wandered off the compute stamp.
         for e in cache.entries_mut() {
-            e.delta_stamps = vec![8];
+            e.delta_stamps = Arc::from([8]);
         }
         let report = check_cache(&cache, &live(5));
         let err = format!("{:?}", report.into_result());

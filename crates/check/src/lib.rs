@@ -21,7 +21,8 @@
 //!   physical feasibility under index availability, and
 //!   logical/physical semantic equivalence.
 //! * [`cache_checks`] — reuse-cache invariants: fingerprint
-//!   re-derivation, stamp bookkeeping, and stale-entry unreachability.
+//!   re-derivation, stamp bookkeeping, stale-entry unreachability, and
+//!   the subsumption-candidate index.
 //! * [`merge_checks`] — worker-pool merge determinism.
 //! * [`explore`] — a deterministic-seed interleaving explorer (a small
 //!   shuttle-style scheduler) for concurrency invariants.

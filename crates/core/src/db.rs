@@ -752,10 +752,11 @@ impl<S: StableStore> Database<S> {
     /// route through [`Database::apply_and_log`], so this is the single
     /// append site: it reads the table's partition versions *after* the
     /// write, extending each hot maintained entry's version chain by
-    /// exactly the link the write created.
+    /// exactly the link the write created and dropping every other entry
+    /// over the table.
     fn note_cache_write(&self, table: TableId, event: DeltaEvent) {
         let mut cache = self.cache.lock();
-        if cache.report().entries == 0 {
+        if cache.is_empty() {
             return;
         }
         let t = self.table(table);

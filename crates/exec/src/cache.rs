@@ -14,10 +14,12 @@
 //! Validity is version-stamped: each entry records the per-partition
 //! version counters ([`VersionSource::table_versions`]) of every relation
 //! the subtree read, plus the catalog epoch (index creation changes access
-//! paths and therefore result *order*). Any write bumps a partition
-//! counter, so the next lookup sees a stamp mismatch and drops the entry
-//! lazily — invalidation costs the write path nothing beyond the counter
-//! bump it already does for dirty tracking.
+//! paths and therefore result *order*). Partition counters only grow, so
+//! once a write lands on a table every entry over it is unservable for
+//! good unless it takes the write as a delta. [`ReuseCache::note_write`]
+//! therefore drops those entries at write time, and the cache holds only
+//! entries it could still serve. The stamp check at lookup stays as the
+//! safety net for writes that bypass the log.
 //!
 //! Eviction is cost-weighted LRU in the spirit of Dursun et al.: the
 //! benefit score is the planner's own §3.3.4 comparison estimate for the
@@ -223,8 +225,9 @@ pub enum DeltaEvent {
 pub struct DeltaRec {
     /// What happened.
     pub event: DeltaEvent,
-    /// `partition_versions()` of the table right after the write.
-    pub versions_after: Vec<u64>,
+    /// `partition_versions()` of the table right after the write
+    /// (shared by every chain the write extends).
+    pub versions_after: Arc<[u64]>,
 }
 
 /// Canonical form of a subtree: the method-independent logical shape, or
@@ -415,7 +418,7 @@ pub struct CacheEntry {
     /// *after* applying every pending delta (equals `stamps[0]` while
     /// the chain is empty). Delta service requires this to equal the
     /// live vector exactly.
-    pub delta_stamps: Vec<u64>,
+    pub delta_stamps: Arc<[u64]>,
     /// Monotone per-entry write counter: a read-time patch captured at
     /// sequence `s` may only write its result back if the entry is
     /// still at `s` (no writes raced past the patch).
@@ -438,7 +441,10 @@ pub struct CacheReport {
     pub hits: u64,
     /// Lookups that found no valid entry.
     pub misses: u64,
-    /// Entries dropped because a version stamp or epoch mismatched.
+    /// Entries dropped because an input changed: at write time by
+    /// [`ReuseCache::note_write`] (every entry over the written table
+    /// that does not take the write as a delta), or at lookup when a
+    /// version stamp or the catalog epoch no longer matches.
     pub invalidations: u64,
     /// Entries dropped by the eviction policy.
     pub evictions: u64,
@@ -457,10 +463,79 @@ pub struct CacheReport {
     pub bytes: usize,
 }
 
+/// Subsumption candidates: the fingerprints of resident order-safe
+/// keyed entries, bucketed by `(table, attr)` so a probe walks only the
+/// entries over its own attribute.
+#[derive(Debug, Default)]
+pub struct CandidateIndex {
+    buckets: HashMap<String, HashMap<String, HashSet<u64>>>,
+}
+
+impl CandidateIndex {
+    /// File `fp` under `(table, attr)`.
+    pub fn add(&mut self, table: &str, attr: &str, fp: u64) {
+        self.buckets
+            .entry(table.to_string())
+            .or_default()
+            .entry(attr.to_string())
+            .or_default()
+            .insert(fp);
+    }
+
+    /// Unfile `fp` from `(table, attr)`, dropping buckets it empties.
+    pub fn remove(&mut self, table: &str, attr: &str, fp: u64) {
+        let Some(attrs) = self.buckets.get_mut(table) else {
+            return;
+        };
+        if let Some(fps) = attrs.get_mut(attr) {
+            fps.remove(&fp);
+            if fps.is_empty() {
+                attrs.remove(attr);
+            }
+        }
+        if attrs.is_empty() {
+            self.buckets.remove(table);
+        }
+    }
+
+    /// The fingerprints filed under `(table, attr)`.
+    pub fn bucket<'a>(&'a self, table: &str, attr: &str) -> impl Iterator<Item = u64> + 'a {
+        self.buckets
+            .get(table)
+            .and_then(|attrs| attrs.get(attr))
+            .into_iter()
+            .flatten()
+            .copied()
+    }
+
+    /// Every filed `(table, attr, fingerprint)`, in no particular order.
+    pub fn iter(&self) -> impl Iterator<Item = (&str, &str, u64)> {
+        self.buckets.iter().flat_map(|(t, attrs)| {
+            attrs
+                .iter()
+                .flat_map(move |(a, fps)| fps.iter().map(move |fp| (t.as_str(), a.as_str(), *fp)))
+        })
+    }
+}
+
+/// The key an entry is filed under in the [`CandidateIndex`]: only
+/// order-safe keyed entries can answer a narrower query.
+fn candidate_key(e: &CacheEntry) -> Option<&ReuseKey> {
+    e.key.as_ref().filter(|k| k.order_safe)
+}
+
 /// The bounded, plan-keyed reuse cache.
 #[derive(Debug)]
 pub struct ReuseCache {
     entries: HashMap<u64, CacheEntry>,
+    /// Fingerprints of the resident entries that read each table: the
+    /// entries a write to the table must visit.
+    readers: HashMap<String, HashSet<u64>>,
+    candidates: CandidateIndex,
+    /// Entries [`ReuseCache::note_write`] dropped, no longer resident or
+    /// counted, whose memory the next [`apply_cache`] frees: the commit
+    /// path only unlinks them.
+    retired: Vec<CacheEntry>,
     capacity_bytes: usize,
     bytes: usize,
     clock: u64,
@@ -485,6 +560,9 @@ impl ReuseCache {
     pub fn new(capacity_bytes: usize) -> Self {
         ReuseCache {
             entries: HashMap::new(),
+            readers: HashMap::new(),
+            candidates: CandidateIndex::default(),
+            retired: Vec::new(),
             capacity_bytes,
             bytes: 0,
             clock: 0,
@@ -513,7 +591,56 @@ impl ReuseCache {
     /// Drop every entry (counters are kept).
     pub fn clear(&mut self) {
         self.entries.clear();
+        self.readers.clear();
+        self.candidates = CandidateIndex::default();
+        self.retired.clear();
         self.bytes = 0;
+    }
+
+    /// Is no entry resident?
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// Make `e` resident, filing it under the tables it reads and as a
+    /// subsumption candidate if it is one. The single insertion site.
+    fn add_entry(&mut self, e: CacheEntry) {
+        self.bytes += e.bytes;
+        for t in &e.tables {
+            match self.readers.get_mut(t) {
+                Some(fps) => {
+                    fps.insert(e.fingerprint);
+                }
+                None => {
+                    self.readers
+                        .insert(t.clone(), HashSet::from([e.fingerprint]));
+                }
+            }
+        }
+        if let Some(k) = candidate_key(&e) {
+            self.candidates.add(&k.table, &k.attr, e.fingerprint);
+        }
+        self.entries.insert(e.fingerprint, e);
+    }
+
+    /// Drop the entry under `fp`, unfiling it. The single removal site;
+    /// callers count the removal under the right counter.
+    fn remove_entry(&mut self, fp: u64) -> Option<CacheEntry> {
+        let e = self.entries.remove(&fp)?;
+        self.bytes -= e.bytes;
+        for t in &e.tables {
+            if let Some(fps) = self.readers.get_mut(t) {
+                fps.remove(&fp);
+                if fps.is_empty() {
+                    self.readers.remove(t);
+                }
+            }
+        }
+        if let Some(k) = candidate_key(&e) {
+            self.candidates.remove(&k.table, &k.attr, fp);
+        }
+        Some(e)
     }
 
     /// Current counters.
@@ -574,8 +701,7 @@ impl ReuseCache {
             }
             Some(e) if e.canonical == canonical => {
                 // Stale: some input changed since the rows were computed.
-                self.bytes -= e.bytes;
-                self.entries.remove(&fp);
+                self.remove_entry(fp);
                 self.invalidations += 1;
                 self.misses += 1;
                 None
@@ -610,8 +736,7 @@ impl ReuseCache {
             && !entry.deltas.is_empty()
             && entry.tables.len() == 1
             && entry.epoch == live.catalog_epoch()
-            && live.table_versions(&entry.tables[0]).as_deref()
-                == Some(entry.delta_stamps.as_slice())
+            && live.table_versions(&entry.tables[0]).as_deref() == Some(&entry.delta_stamps[..])
     }
 
     /// Would an exact lookup of `fp` be served *via delta patching*
@@ -624,24 +749,31 @@ impl ReuseCache {
         })
     }
 
-    /// Record one applied write against `table` into every hot
-    /// maintainable entry over it. This is the delta-log append site:
-    /// the database calls it from its write-apply path, immediately
-    /// after the partition-version bump, passing the table's version
-    /// vector as of after the write. Cold or unmaintainable entries are
-    /// left to the usual lazy stamp-mismatch invalidation; chains that
-    /// outgrow [`DELTA_BUDGET`] (or hit a relocation
-    /// [`DeltaEvent::Barrier`]) evict their entry instead.
+    /// Record one applied write against `table`: append it to the delta
+    /// chain of every hot maintainable entry over the table, and drop
+    /// every other entry over it (cold or unmaintainable selections,
+    /// joins, multi-table subtrees), each counted as an invalidation.
+    /// Dropped entries stop being resident at once; freeing their memory
+    /// waits for the next [`apply_cache`], off the write path.
+    /// This is the delta-log append site: the database calls it from its
+    /// write-apply path, immediately after the partition-version bump,
+    /// passing the table's version vector as of after the write. Chains
+    /// that outgrow [`DELTA_BUDGET`] evict their entry; a relocation
+    /// [`DeltaEvent::Barrier`] invalidates maintained entries too.
     pub fn note_write(&mut self, table: &str, event: DeltaEvent, versions_after: &[u64]) {
+        let Some(readers) = self.readers.get(table) else {
+            return;
+        };
+        let after: Arc<[u64]> = Arc::from(versions_after);
         let mut overflowed: Vec<u64> = Vec::new();
-        let mut barred: Vec<u64> = Vec::new();
-        for e in self.entries.values_mut() {
-            let Some(k) = &e.key else { continue };
-            if k.table != table || !k.maintainable || e.hits == 0 {
+        let mut dead: Vec<u64> = Vec::new();
+        for fp in readers {
+            let Some(e) = self.entries.get_mut(fp) else {
                 continue;
-            }
-            if matches!(event, DeltaEvent::Barrier) {
-                barred.push(e.fingerprint);
+            };
+            let maintained = e.hits > 0 && e.key.as_ref().is_some_and(|k| k.maintainable);
+            if !maintained || matches!(event, DeltaEvent::Barrier) {
+                dead.push(e.fingerprint);
                 continue;
             }
             if e.deltas.len() >= DELTA_BUDGET {
@@ -651,22 +783,26 @@ impl ReuseCache {
             e.delta_seq += 1;
             e.deltas.push(DeltaRec {
                 event,
-                versions_after: versions_after.to_vec(),
+                versions_after: Arc::clone(&after),
             });
-            e.delta_stamps = versions_after.to_vec();
+            e.delta_stamps = Arc::clone(&after);
         }
         for fp in overflowed {
-            if let Some(e) = self.entries.remove(&fp) {
-                self.bytes -= e.bytes;
+            if self.remove_entry(fp).is_some() {
                 self.delta_overflow_evictions += 1;
             }
         }
-        for fp in barred {
-            if let Some(e) = self.entries.remove(&fp) {
-                self.bytes -= e.bytes;
+        for fp in dead {
+            if let Some(e) = self.remove_entry(fp) {
+                self.retired.push(e);
                 self.invalidations += 1;
             }
         }
+    }
+
+    /// Free the entries [`ReuseCache::note_write`] retired.
+    fn reclaim(&mut self) {
+        self.retired.clear();
     }
 
     /// §3.3.4-style cost of serving a stale entry by patching: copy the
@@ -727,8 +863,7 @@ impl ReuseCache {
                     }
                 }
                 // Stale beyond repair (or repair dearer than recompute).
-                if let Some(e) = self.entries.remove(&fp) {
-                    self.bytes -= e.bytes;
+                if self.remove_entry(fp).is_some() {
                     self.invalidations += 1;
                 }
             }
@@ -736,10 +871,14 @@ impl ReuseCache {
         // Subsumption: a fresh order-safe entry over the same
         // (table, attr) whose interval contains the query's answers by
         // re-filtering — one predicate test per cached row. Ties against
-        // recompute prefer the cache (no build cost, §3.3.5).
+        // recompute prefer the cache (no build cost, §3.3.5). Only the
+        // query's own candidate bucket is walked.
         if let Some(q) = query.filter(|q| q.order_safe) {
             let mut best: Option<(u64, f64)> = None;
-            for e in self.entries.values() {
+            for cfp in self.candidates.bucket(q.table, q.attr) {
+                let Some(e) = self.entries.get(&cfp) else {
+                    continue;
+                };
                 let Some(k) = &e.key else { continue };
                 if !k.order_safe || k.table != q.table || k.attr != q.attr {
                     continue;
@@ -797,7 +936,7 @@ impl ReuseCache {
                 rows: Arc::clone(&e.rows),
                 deltas: e.deltas.clone(),
                 seq: e.delta_seq,
-                covered: e.delta_stamps.clone(),
+                covered: e.delta_stamps.to_vec(),
             })
     }
 
@@ -826,7 +965,7 @@ impl ReuseCache {
         e.bytes = new_bytes;
         e.rows = Arc::new(rows.clone());
         e.stamps = vec![covered.to_vec()];
-        e.delta_stamps = covered.to_vec();
+        e.delta_stamps = Arc::from(covered);
         e.deltas.clear();
         self.evict_to_fit(0);
     }
@@ -843,35 +982,29 @@ impl ReuseCache {
             if existing.canonical != ticket.canonical && existing.cost >= ticket.cost {
                 return;
             }
-            self.bytes -= existing.bytes;
-            self.entries.remove(&ticket.fingerprint);
+            self.remove_entry(ticket.fingerprint);
         }
         self.evict_to_fit(bytes);
         self.clock += 1;
-        self.entries.insert(
-            ticket.fingerprint,
-            CacheEntry {
-                fingerprint: ticket.fingerprint,
-                canonical: ticket.canonical.clone(),
-                tables: ticket.tables.clone(),
-                stamps: ticket.stamps.clone(),
-                epoch: ticket.epoch,
-                rows: Arc::new(rows.clone()),
-                cost: ticket.cost,
-                bytes,
-                hits: 0,
-                last_used: self.clock,
-                key: ticket.key.clone(),
-                deltas: Vec::new(),
-                delta_stamps: if ticket.key.is_some() {
-                    ticket.stamps.first().cloned().unwrap_or_default()
-                } else {
-                    Vec::new()
-                },
-                delta_seq: 0,
+        self.add_entry(CacheEntry {
+            fingerprint: ticket.fingerprint,
+            canonical: ticket.canonical.clone(),
+            tables: ticket.tables.clone(),
+            stamps: ticket.stamps.clone(),
+            epoch: ticket.epoch,
+            rows: Arc::new(rows.clone()),
+            cost: ticket.cost,
+            bytes,
+            hits: 0,
+            last_used: self.clock,
+            key: ticket.key.clone(),
+            deltas: Vec::new(),
+            delta_stamps: match (&ticket.key, ticket.stamps.first()) {
+                (Some(_), Some(stamp)) => Arc::from(stamp.as_slice()),
+                _ => Arc::from([]),
             },
-        );
-        self.bytes += bytes;
+            delta_seq: 0,
+        });
     }
 
     /// Evict lowest-benefit entries until `incoming` more bytes fit.
@@ -888,8 +1021,7 @@ impl ReuseCache {
                 })
                 .map(|e| e.fingerprint);
             let Some(fp) = victim else { break };
-            if let Some(e) = self.entries.remove(&fp) {
-                self.bytes -= e.bytes;
+            if self.remove_entry(fp).is_some() {
                 self.evictions += 1;
             }
         }
@@ -904,6 +1036,26 @@ impl ReuseCache {
     /// tamper with stamps/fingerprints and watch the checker object.
     pub fn entries_mut(&mut self) -> impl Iterator<Item = &mut CacheEntry> {
         self.entries.values_mut()
+    }
+
+    /// Every `(table, fingerprint)` in the per-table reader index, in no
+    /// particular order (invariant checks).
+    pub fn readers(&self) -> impl Iterator<Item = (&str, u64)> {
+        self.readers
+            .iter()
+            .flat_map(|(t, fps)| fps.iter().map(move |fp| (t.as_str(), *fp)))
+    }
+
+    /// The subsumption-candidate index (invariant checks).
+    #[must_use]
+    pub fn candidates(&self) -> &CandidateIndex {
+        &self.candidates
+    }
+
+    /// Mutable access to the candidate index — exists so negative tests
+    /// can corrupt it and watch the checker object.
+    pub fn candidates_mut(&mut self) -> &mut CandidateIndex {
+        &mut self.candidates
     }
 }
 
@@ -977,6 +1129,7 @@ pub fn apply_cache(
     cache: &mut ReuseCache,
     live: &dyn VersionSource,
 ) -> HashMap<NodeId, StoreTicket> {
+    cache.reclaim();
     substitute(&mut planned.root, cache, live);
     planned.renumber();
     let mut tickets = HashMap::new();
@@ -1675,6 +1828,165 @@ mod tests {
         assert_eq!(cache.report().invalidations, 1);
     }
 
+    /// Every filed candidate as a sorted list, for comparisons.
+    fn filed(cache: &ReuseCache) -> Vec<(String, String, u64)> {
+        let mut v: Vec<_> = cache
+            .candidates()
+            .iter()
+            .map(|(t, a, fp)| (t.to_string(), a.to_string(), fp))
+            .collect();
+        v.sort_unstable();
+        v
+    }
+
+    /// The candidates the resident entries call for, sorted.
+    fn derived(cache: &ReuseCache) -> Vec<(String, String, u64)> {
+        let mut v: Vec<_> = cache
+            .entries()
+            .filter_map(|e| {
+                candidate_key(e).map(|k| (k.table.clone(), k.attr.clone(), e.fingerprint))
+            })
+            .collect();
+        v.sort_unstable();
+        v
+    }
+
+    /// Both entry indexes equal what the resident entries call for.
+    fn assert_indexes_match(cache: &ReuseCache) {
+        assert_eq!(filed(cache), derived(cache));
+        let mut readers: Vec<(String, u64)> =
+            cache.readers().map(|(t, fp)| (t.to_string(), fp)).collect();
+        readers.sort_unstable();
+        let mut want: Vec<(String, u64)> = cache
+            .entries()
+            .flat_map(|e| e.tables.iter().map(|t| (t.clone(), e.fingerprint)))
+            .collect();
+        want.sort_unstable();
+        want.dedup();
+        assert_eq!(readers, want);
+    }
+
+    #[test]
+    fn note_write_drops_every_entry_that_cannot_take_the_write() {
+        let live = MemVersions::new(&[("emp", &[1]), ("dept", &[1])]);
+        let mut cache = ReuseCache::default();
+        let lt = |v: i64| Predicate::less(KeyValue::Int(v));
+        let cold = range_select("emp", "age", lt(10), SelectPath::SequentialScan);
+        let tree = range_select("emp", "age", lt(20), SelectPath::TreeLookup);
+        let hashed = range_select(
+            "emp",
+            "age",
+            Predicate::Eq(KeyValue::Int(5)),
+            SelectPath::HashLookup,
+        );
+        let hot = range_select("emp", "salary", lt(30), SelectPath::SequentialScan);
+        let join = join_node(select_node("emp", "age", 7), JoinMethod::TreeJoin, None);
+        let other = range_select("dept", "id", lt(40), SelectPath::SequentialScan);
+        for n in [&cold, &tree, &hashed, &hot, &join, &other] {
+            cache.insert(&ticket_for(n, &live), &rows_of(4));
+        }
+        // Heat every entry except `cold`: hot entries are the only ones
+        // that may take deltas, and only if maintainable.
+        for n in [&tree, &hashed, &hot, &join, &other] {
+            let t = ticket_for(n, &live);
+            assert!(cache.lookup(t.fingerprint, &t.canonical, &live).is_some());
+        }
+        assert_eq!(cache.report().entries, 6);
+        let before = cache.report().invalidations;
+
+        cache.note_write("emp", DeltaEvent::Insert(TupleId::new(0, 9)), &[2]);
+
+        // Cold, tree-ordered, hash-ordered and join entries over `emp`
+        // are gone, each counted once; the hot maintainable entry and
+        // the entry over `dept` survive.
+        let r = cache.report();
+        assert_eq!(r.invalidations - before, 4);
+        assert_eq!(r.entries, 2);
+        // Their memory waits for the next reclaim, off the write path.
+        assert_eq!(cache.retired.len(), 4);
+        cache.reclaim();
+        assert!(cache.retired.is_empty());
+        let resident = |cache: &ReuseCache, n: &PlanNode| {
+            let t = ticket_for(n, &live);
+            cache.peek(t.fingerprint, &t.canonical).is_some()
+        };
+        assert!(resident(&cache, &hot) && resident(&cache, &other));
+        for n in [&cold, &tree, &hashed, &join] {
+            assert!(!resident(&cache, n), "{:?}", canonical_plan(n));
+        }
+        // The maintained entry keeps its chain, tipped at the write.
+        let t = ticket_for(&hot, &live);
+        let e = cache
+            .entries()
+            .find(|e| e.fingerprint == t.fingerprint)
+            .unwrap();
+        assert_eq!(e.deltas.len(), 1);
+        assert_eq!(e.delta_stamps[..], [2]);
+        let r = cache.report();
+        assert_eq!(r.bytes, cache.entries().map(|e| e.bytes).sum::<usize>());
+        assert_indexes_match(&cache);
+
+        // A write to `dept` extends the hot `dept` entry's chain; a
+        // relocation barrier then drops it, and leaves `emp` alone.
+        cache.note_write("dept", DeltaEvent::Delete(TupleId::new(0, 1)), &[2]);
+        assert_eq!(cache.report().invalidations - before, 4);
+        assert!(
+            resident(&cache, &other),
+            "hot maintainable: takes the delta"
+        );
+        cache.note_write("dept", DeltaEvent::Barrier, &[3]);
+        assert_eq!(cache.report().invalidations - before, 5);
+        assert!(!resident(&cache, &other) && resident(&cache, &hot));
+        assert_indexes_match(&cache);
+    }
+
+    #[test]
+    fn candidate_index_follows_every_insert_and_removal() {
+        let live = MemVersions::new(&[("emp", &[1])]);
+        let lt = |v: i64| Predicate::less(KeyValue::Int(v));
+        let mut cache = ReuseCache::new(2000);
+        let a = range_select("emp", "age", lt(10), SelectPath::SequentialScan);
+        let b = range_select("emp", "age", lt(20), SelectPath::TreeLookup);
+        let h = range_select(
+            "emp",
+            "age",
+            Predicate::Eq(KeyValue::Int(3)),
+            SelectPath::HashLookup,
+        );
+        let s = range_select("emp", "salary", lt(30), SelectPath::SequentialScan);
+        for n in [&a, &b, &h, &s] {
+            cache.insert(&ticket_for(n, &live), &rows_of(4));
+        }
+        // Hash-ordered entries never answer a narrower query: not filed.
+        assert_eq!(filed(&cache).len(), 3);
+        assert_indexes_match(&cache);
+        let fp = |n: &PlanNode| ticket_for(n, &live).fingerprint;
+        let mut age: Vec<u64> = cache.candidates().bucket("emp", "age").collect();
+        age.sort_unstable();
+        let mut want = vec![fp(&a), fp(&b)];
+        want.sort_unstable();
+        assert_eq!(age, want);
+        assert_eq!(cache.candidates().bucket("emp", "salary").count(), 1);
+        assert_eq!(cache.candidates().bucket("dept", "age").count(), 0);
+
+        // Replacement keeps one filing per fingerprint.
+        cache.insert(&ticket_for(&a, &live), &rows_of(5));
+        assert_indexes_match(&cache);
+        // A stale lookup drops and unfiles.
+        let stale = MemVersions::new(&[("emp", &[2])]);
+        let t = ticket_for(&b, &live);
+        assert!(cache.lookup(t.fingerprint, &t.canonical, &stale).is_none());
+        assert_indexes_match(&cache);
+        // Eviction unfiles.
+        cache.set_capacity_bytes(500);
+        assert!(cache.report().evictions > 0);
+        assert_indexes_match(&cache);
+        // Clear empties the index.
+        cache.clear();
+        assert!(cache.is_empty());
+        assert_eq!(cache.candidates().iter().count(), 0);
+    }
+
     #[test]
     fn delta_budget_overflow_evicts() {
         let live = MemVersions::new(&[("emp", &[1])]);
@@ -1736,7 +2048,7 @@ mod tests {
         let e = cache.entries().next().unwrap();
         assert_eq!(e.deltas.len(), 2);
         assert_eq!(e.rows.len(), 8);
-        assert_eq!(e.delta_stamps, vec![3]);
+        assert_eq!(e.delta_stamps[..], [3]);
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! The stable log buffer (§2.4): redo-only, write-ahead, abort-by-discard.
 
+use std::collections::HashMap;
+
 /// Identifies one partition of one relation — the unit of recovery.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PartitionKey {
@@ -37,7 +39,11 @@ pub struct LogRecord {
 /// The stable log buffer: survives crashes (battery-backed RAM in the
 /// paper). Uncommitted records are staged per transaction; commit makes
 /// them visible to the log device in LSN order; abort discards them —
-/// *"the log entry is removed and no undo is needed"*.
+/// *"the log entry is removed and no undo is needed"*. Records are
+/// full-partition after-images, so the newest committed image of a
+/// partition supersedes every older one: commit drops those, so the
+/// committed backlog does not grow with the number of commits when no
+/// log device drains it.
 #[derive(Debug, Default)]
 pub struct StableLogBuffer {
     next_lsn: u64,
@@ -45,6 +51,9 @@ pub struct StableLogBuffer {
     staged: Vec<LogRecord>,
     /// Committed records awaiting the log device, in commit order.
     committed: Vec<LogRecord>,
+    /// Committed records dropped because a newer committed image of the
+    /// same partition arrived before the log device pulled them.
+    superseded: u64,
 }
 
 impl StableLogBuffer {
@@ -67,7 +76,9 @@ impl StableLogBuffer {
         });
     }
 
-    /// Commit: move the transaction's records to the committed queue.
+    /// Commit: move the transaction's records to the committed queue,
+    /// dropping every committed image they supersede (an older LSN of a
+    /// partition they rewrite).
     pub fn commit(&mut self, txn: u64) {
         let mut moved: Vec<LogRecord> = Vec::new();
         self.staged.retain_mut(|r| {
@@ -83,8 +94,24 @@ impl StableLogBuffer {
                 true
             }
         });
+        if moved.is_empty() {
+            return;
+        }
         moved.sort_by_key(|r| r.lsn);
+        let newest: HashMap<PartitionKey, u64> = moved.iter().map(|r| (r.key, r.lsn)).collect();
         self.committed.extend(moved);
+        let before = self.committed.len();
+        self.committed
+            .retain(|r| newest.get(&r.key).is_none_or(|&lsn| r.lsn >= lsn));
+        self.superseded += (before - self.committed.len()) as u64;
+    }
+
+    /// Committed records dropped so far because a newer committed image
+    /// of the same partition superseded them before the log device
+    /// pulled them.
+    #[must_use]
+    pub fn superseded(&self) -> u64 {
+        self.superseded
     }
 
     /// Abort: discard the transaction's staged records.
@@ -100,8 +127,8 @@ impl StableLogBuffer {
     /// Committed records not yet drained, newest image per key — used at
     /// restart to merge updates the log device has not seen yet.
     #[must_use]
-    pub fn committed_images(&self) -> std::collections::HashMap<PartitionKey, &LogRecord> {
-        let mut map = std::collections::HashMap::new();
+    pub fn committed_images(&self) -> HashMap<PartitionKey, &LogRecord> {
+        let mut map = HashMap::new();
         for r in &self.committed {
             let e = map.entry(r.key).or_insert(r);
             if r.lsn >= e.lsn {
@@ -217,6 +244,30 @@ mod tests {
         b.commit(2);
         let map = b.committed_images();
         assert_eq!(map[&k(5)].image, vec![3]);
+    }
+
+    #[test]
+    fn commit_supersedes_older_committed_images() {
+        let mut b = StableLogBuffer::new();
+        for txn in 0..10u64 {
+            b.log(txn, k((txn % 2) as u32), vec![txn as u8]);
+            b.commit(txn);
+        }
+        // One image per partition is left: the newest.
+        assert_eq!(b.committed_len(), 2);
+        assert_eq!(b.superseded(), 8);
+        let map = b.committed_images();
+        assert_eq!(map[&k(0)].image, vec![8]);
+        assert_eq!(map[&k(1)].image, vec![9]);
+        // A transaction that logs one partition twice keeps its later image.
+        b.log(10, k(0), vec![10]);
+        b.log(10, k(0), vec![11]);
+        b.commit(10);
+        assert_eq!(b.superseded(), 10);
+        let drained = b.drain_committed();
+        assert_eq!(drained.len(), 2);
+        assert!(drained[0].lsn < drained[1].lsn);
+        assert_eq!(drained[1].image, vec![11]);
     }
 
     #[test]

@@ -238,6 +238,14 @@ impl<S: StableStore> RecoveryManager<S> {
         &self.disk
     }
 
+    /// Committed records the stable buffer dropped because a newer
+    /// committed image of the same partition superseded them before the
+    /// log device pulled them.
+    #[must_use]
+    pub fn superseded_records(&self) -> u64 {
+        self.buffer.superseded()
+    }
+
     /// Log-device diagnostics: `(records pulled, images flushed)`.
     pub fn device_counters(&self) -> (u64, u64) {
         (self.device.pulled(), self.device.flushed())
@@ -387,7 +395,13 @@ mod tests {
         m.log_update(2, k(0), vec![2]);
         m.commit(2);
         let truncated = m.checkpoint_image(k(0), &[1], cut).unwrap();
-        assert_eq!(truncated, 1, "only the pre-cut record is superseded");
+        // The pre-cut record goes exactly once: superseded at commit by
+        // the post-cut image, or truncated by the checkpoint.
+        assert_eq!(
+            truncated as u64 + m.superseded_records(),
+            1,
+            "only the pre-cut record is superseded"
+        );
         m.crash_volatile();
         assert_eq!(
             m.recover_image(k(0)).unwrap(),

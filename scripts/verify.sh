@@ -140,6 +140,10 @@ gate "prop-recovery"     cargo test --test prop_recovery -q
 # served (64-seed sweep; MMDB_CACHE_SEED replays one).
 gate "cache-prop"        env MMDB_CACHE_SEEDS=64 cargo test --test prop_cache -q
 
+# End-to-end benchmark self-tests: the tail rule, tampered-answer
+# detection, and the metric catalogue against BENCHMARK.json.
+gate "perfbench-selftest" cargo test --offline --manifest-path perfbench/Cargo.toml
+
 # Parallel-scaling bench, criterion --test smoke mode (each case once).
 gate "bench-smoke"       cargo bench -p mmdb-bench --bench scaling -- --test
 

@@ -9,6 +9,9 @@
 //! `.cache(false)` (the cold oracle that never consults the cache). A
 //! stale serve — any divergence after a write moved an input table's
 //! partition versions — fails with the seed and step that produced it.
+//! After every write, each resident entry over the written table must
+//! still be servable, fresh or through its delta chain: the cache drops
+//! the others at write time.
 //!
 //! To replay a single seed bit-for-bit:
 //!
@@ -151,7 +154,7 @@ fn run_script(seed: u64) -> mmdb_exec::CacheReport {
             // Write step: a committed insert/update/delete must move the
             // touched partition's version and unserve dependent entries.
             let mut txn = db.begin();
-            match rng.next_u64() % 5 {
+            let written = match rng.next_u64() % 5 {
                 0 => {
                     let age = (rng.next_u64() % 100) as i64;
                     let dept = (rng.next_u64() % 5 + 1) as i64;
@@ -168,11 +171,13 @@ fn run_script(seed: u64) -> mmdb_exec::CacheReport {
                     )
                     .unwrap();
                     next_emp += 1;
+                    Some("emp")
                 }
                 1 if !emp_tids.is_empty() => {
                     let tid = emp_tids[(rng.next_u64() as usize) % emp_tids.len()];
                     let age = (rng.next_u64() % 100) as i64;
                     db.update(&mut txn, "emp", tid, "age", age.into()).unwrap();
+                    Some("emp")
                 }
                 2 if !emp_tids.is_empty() => {
                     // Salary updates land on hot seq-scan entries as
@@ -181,22 +186,45 @@ fn run_script(seed: u64) -> mmdb_exec::CacheReport {
                     let salary = (rng.next_u64() % 100) as i64;
                     db.update(&mut txn, "emp", tid, "salary", salary.into())
                         .unwrap();
+                    Some("emp")
                 }
                 3 if emp_tids.len() > 5 => {
                     let i = (rng.next_u64() as usize) % emp_tids.len();
                     db.delete(&mut txn, "emp", emp_tids.swap_remove(i)).unwrap();
+                    Some("emp")
                 }
                 _ if dept_tids.len() > 2 => {
                     let i = (rng.next_u64() as usize) % dept_tids.len();
                     db.delete(&mut txn, "dept", dept_tids.swap_remove(i))
                         .unwrap();
+                    Some("dept")
                 }
-                _ => {}
-            }
+                _ => None,
+            };
             let inserted = db
                 .commit(txn)
                 .unwrap_or_else(|e| panic!("{}: {e}", ctx("commit")));
             emp_tids.extend(inserted);
+            if let Some(table) = written {
+                let unservable: Vec<String> = db.with_cache(|cache| {
+                    cache
+                        .entries()
+                        .filter(|e| e.tables.iter().any(|t| t == table))
+                        .filter(|e| {
+                            !cache.would_serve(e.fingerprint, &e.canonical, &db)
+                                && !cache.would_serve_delta(e.fingerprint, &e.canonical, &db)
+                        })
+                        .map(|e| e.canonical.clone())
+                        .collect()
+                });
+                assert!(
+                    unservable.is_empty(),
+                    "{}",
+                    ctx(&format!(
+                        "entries over {table} neither fresh nor delta-ready: {unservable:?}"
+                    ))
+                );
+            }
         }
         #[cfg(feature = "check")]
         if let Err(msg) = db.deep_check().into_result() {
